@@ -26,11 +26,22 @@ LPP baseline kernels and across every protocol analysing the same task set.
 This module adds only the partition-dependent coefficients (per-task
 :class:`_TaskLane` slices) and the DPCP-p lemma structure on top.
 
+**EP input.**  The EP bound reads a task's enumeration as arrays
+(:class:`~repro.analysis.paths.PathEnumerationResult`: path lengths, the
+on-path request-count matrix and the on-path non-critical WCET per
+signature); no per-profile objects are touched.  Everything that does not
+depend on the partition — the lengths, the global/local count columns,
+Lemma 4's local-resource blocking and Lemma 5's intra-task interference —
+is assembled once per ``(task, enumeration)`` into an :class:`_EpColumns`
+and cached in the shared tables' protocol cache, so every Algorithm 1
+retry only adds the partition-dependent terms (off-path workload per
+processor, σ, Lemma 2 windows, ε).
+
 Two execution strategies share the coefficients:
 
 * a **batched NumPy path** that solves Lemma 2 for every
-  ``(path profile, resource)`` pair of a task simultaneously and Theorem 1
-  for every path profile simultaneously, iterating only the entries that
+  ``(signature, resource)`` pair of a task simultaneously and Theorem 1
+  for every signature simultaneously, iterating only the entries that
   have neither converged nor diverged — this is what makes wide-DAG EP
   analyses (thousands of path signatures) cheap; and
 * a **scalar path** over the same precomputed coefficient tables (plain
@@ -38,11 +49,11 @@ Two execution strategies share the coefficients:
   NumPy dispatch overhead would dominate: the EN analysis and tasks with few
   path signatures.
 
-Per-profile bounds match the reference implementation up to floating-point
-summation order (observed well below 1e-12 relative on randomized systems).
-The kernel assumes (like the reference analysis) that profiles passed to it
-were derived from the task itself, i.e. their request counts only cover
-resources the task uses.
+Per-signature bounds match the reference implementation up to
+floating-point summation order (observed well below 1e-12 relative on
+randomized systems).  The kernel assumes (like the reference analysis) that
+enumerations passed to it were derived from the task itself, i.e. their
+request counts only cover resources the task uses.
 """
 
 from __future__ import annotations
@@ -56,6 +67,7 @@ import numpy as np
 from ...model.dag import PathProfile
 from ...model.platform import PartitionedSystem
 from ...model.task import DAGTask, TaskSet
+from ...obs.telemetry import active as _active_telemetry
 from ..engine.solver import (
     ETA_GUARD,
     NO_CONVERGENCE,
@@ -66,8 +78,9 @@ from ..engine.solver import (
 from ..engine.tables import CompiledTask, CompiledTaskset, compile_taskset
 from ..paths import PathEnumerationResult
 
-#: Profile batches at least this large use the batched NumPy fixed-point
-#: solver; smaller batches use the scalar path over the same coefficients.
+#: Enumerations with at least this many signatures use the batched NumPy
+#: fixed-point solver; smaller ones use the scalar path over the same
+#: coefficients.
 BATCH_CUTOFF = 48
 
 _ceil = math.ceil
@@ -116,7 +129,7 @@ class _TaskLane:
     hp_cols: Dict[int, List[Tuple[int, float]]]     # per used proc: higher-prio W column
     other_cols: Dict[int, List[Tuple[int, float]]]  # per used proc: other-task W column
     wcl_col: List[Tuple[int, float]]                # other-task cluster workload
-    g_by_proc: Dict[int, List[Tuple[int, float, float]]]  # per proc: (rid, N, L)
+    g_by_proc: Dict[int, List[Tuple[int, float, float]]]  # per proc: (g, N, L)
     # NumPy views, materialized lazily by the batched path only.
     hp: Optional[np.ndarray] = field(repr=False, default=None)
     other: Optional[np.ndarray] = field(repr=False, default=None)
@@ -124,6 +137,141 @@ class _TaskLane:
     cluster_procs: Optional[np.ndarray] = field(repr=False, default=None)
     g_proc: Optional[np.ndarray] = field(repr=False, default=None)
     beta_arr: Optional[np.ndarray] = field(repr=False, default=None)
+
+
+#: Scalar-path row: ``(length, on-path counts per used global resource,
+#: Lemma 4 local-resource blocking, Lemma 5 intra-task interference)``.
+_Row = Tuple[float, List[int], float, float]
+
+
+@dataclass
+class _EpColumns:
+    """Partition-independent EP inputs of one task, built once per enumeration.
+
+    Algorithm 1's retries re-partition the task set but never change a
+    task's enumeration, so one instance serves every retry.  Tasks with
+    fewer than :data:`BATCH_CUTOFF` signatures get scalar ``rows``; wider
+    ones get the NumPy columns of the batched path.
+    """
+
+    enumeration: PathEnumerationResult
+    rows: Optional[List[_Row]] = None
+    # Batched columns over the task's global resources (P, G) and rows (P,).
+    n_g: Optional[np.ndarray] = field(repr=False, default=None)    # on-path counts
+    req_g: Optional[np.ndarray] = field(repr=False, default=None)  # n_g > 0
+    off_g: Optional[np.ndarray] = field(repr=False, default=None)  # own off-path work
+    local_block: Optional[np.ndarray] = field(repr=False, default=None)   # Lemma 4
+    intra_interf: Optional[np.ndarray] = field(repr=False, default=None)  # Lemma 5
+
+
+def _scalar_row(
+    static: CompiledTask,
+    length: float,
+    n_g: List[int],
+    n_l: List[int],
+    onpath_noncrit: float,
+) -> _Row:
+    """One scalar-path row: Lemma 4's local blocking and Lemma 5's interference."""
+    local_block = 0.0
+    local_offpath = 0.0
+    for n_path, count, cs in zip(n_l, static.l_N, static.l_L):
+        if n_path > 0:
+            local_block += (count - n_path) * cs
+        gap = count - n_path
+        if gap > 0:
+            local_offpath += gap * cs
+    intra_interf = (static.total_noncrit - onpath_noncrit) + local_offpath
+    return (length, n_g, local_block, intra_interf)
+
+
+def _build_ep_columns(
+    static: CompiledTask, enumeration: PathEnumerationResult
+) -> _EpColumns:
+    """Assemble the partition-independent EP columns of one enumeration."""
+    column_of = {rid: j for j, rid in enumerate(enumeration.resource_ids)}
+    g_cols = [column_of.get(rid) for rid in static.ugr]
+    l_cols = [column_of.get(rid) for rid in static.lres]
+    counts = enumeration.counts
+    P = len(enumeration.lengths)
+    if P < BATCH_CUTOFF:
+        rows = []
+        for length, row, onpath in zip(
+            enumeration.lengths.tolist(),
+            counts.tolist(),
+            enumeration.onpath_noncrit.tolist(),
+        ):
+            rows.append(_scalar_row(
+                static,
+                length,
+                [0 if c is None else row[c] for c in g_cols],
+                [0 if c is None else row[c] for c in l_cols],
+                onpath,
+            ))
+        return _EpColumns(enumeration=enumeration, rows=rows)
+
+    static.ensure_arrays()
+
+    def gather(cols: List[Optional[int]]) -> np.ndarray:
+        out = np.zeros((P, len(cols)))
+        for j, c in enumerate(cols):
+            if c is not None:
+                out[:, j] = counts[:, c]
+        return out
+
+    n_g = gather(g_cols)
+    n_l = gather(l_cols)
+    off_g = np.maximum(static.g_N_arr[None, :] - n_g, 0.0) * static.g_L_arr[None, :]
+    if l_cols:
+        local_block = (
+            (static.l_N_arr[None, :] - n_l) * static.l_L_arr[None, :] * (n_l > 0)
+        ).sum(axis=1)
+        local_offpath = (
+            np.maximum(static.l_N_arr[None, :] - n_l, 0.0) * static.l_L_arr[None, :]
+        ).sum(axis=1)
+    else:
+        local_block = np.zeros(P)
+        local_offpath = np.zeros(P)
+    return _EpColumns(
+        enumeration=enumeration,
+        n_g=n_g,
+        req_g=n_g > 0,
+        off_g=off_g,
+        local_block=local_block,
+        intra_interf=(static.total_noncrit - enumeration.onpath_noncrit)
+        + local_offpath,
+    )
+
+
+def _row_offpath(
+    lane: _TaskLane, n_g: List[int]
+) -> Tuple[Dict[int, float], Dict[int, bool]]:
+    """Own off-path workload and σ per used processor for one scalar row."""
+    off: Dict[int, float] = {}
+    sigma: Dict[int, bool] = {}
+    for k, entries in lane.g_by_proc.items():
+        total = 0.0
+        requested = False
+        for g, count, cs in entries:
+            on_path = n_g[g]
+            if on_path > 0:
+                requested = True
+            gap = count - on_path
+            if gap > 0:
+                total += gap * cs
+        off[k] = total
+        sigma[k] = requested
+    return off, sigma
+
+
+def _row_intra_block(
+    lane: _TaskLane, local_block: float, off: Dict[int, float], sigma: Dict[int, bool]
+) -> float:
+    """Lemma 4 for one scalar row: local blocking plus co-located off-path work."""
+    intra_block = local_block
+    for k in lane.use_procs:
+        if sigma[k]:
+            intra_block += off[k]
+    return intra_block
 
 
 class DpcpPKernel:
@@ -202,6 +350,9 @@ class DpcpPKernel:
         )
         self._local_resources = tables.local_resources
         self._lanes: Dict[int, _TaskLane] = {}
+        self._ep_cache: Dict[int, _EpColumns] = tables.protocol_cache.setdefault(
+            "dpcp_p.ep", {}
+        )
         # NumPy coefficient views; the active-processor slice is cut lazily
         # by the batched path.
         self._W_np: np.ndarray = W
@@ -252,8 +403,8 @@ class DpcpPKernel:
         ]
         g_by_proc: Dict[int, List[Tuple[int, float, float]]] = {k: [] for k in use_procs}
         full_off = {k: 0.0 for k in use_procs}
-        for rid, count, cs, k in zip(static.ugr, static.g_N, static.g_L, g_proc_list):
-            g_by_proc[k].append((rid, count, cs))
+        for g, (count, cs, k) in enumerate(zip(static.g_N, static.g_L, g_proc_list)):
+            g_by_proc[k].append((g, count, cs))
             full_off[k] += count * cs
         lane = _TaskLane(
             index=i,
@@ -383,33 +534,15 @@ class DpcpPKernel:
             return _inf
         return solved
 
-    def _profile_wcrt_scalar(
-        self, lane: _TaskLane, profile: PathProfile, bound: float
-    ) -> float:
-        """One concrete path profile through the scalar fast path."""
+    def _row_wcrt_scalar(self, lane: _TaskLane, row: _Row, bound: float) -> float:
+        """One signature row through the scalar fast path."""
+        length, n_g, local_block, intra_interf = row
         static = lane.static
-        requests = profile.requests
-
-        # Own off-path workload per used processor (Eq. (3) intra term).
-        off: Dict[int, float] = {}
-        sigma: Dict[int, bool] = {}
-        for k, entries in lane.g_by_proc.items():
-            total = 0.0
-            requested = False
-            for rid, count, cs in entries:
-                on_path = requests.get(rid, 0)
-                if on_path > 0:
-                    requested = True
-                gap = count - on_path
-                if gap > 0:
-                    total += gap * cs
-            off[k] = total
-            sigma[k] = requested
+        off, sigma = _row_offpath(lane, n_g)
 
         # Lemma 2 windows and Lemma 3's per-request view ε.
         eps: Dict[int, float] = {}
-        for g, rid in enumerate(static.ugr):
-            n_path = requests.get(rid, 0)
+        for g, n_path in enumerate(n_g):
             if n_path <= 0:
                 continue
             k = lane.g_proc_list[g]
@@ -417,34 +550,12 @@ class DpcpPKernel:
             gamma = self._window_scalar(lane, static.g_L[g] + off[k] + beta, k, bound)
             eps[k] = eps.get(k, 0.0) + n_path * (beta + gamma)
 
-        # Lemma 4: intra-task blocking.
-        intra_block = 0.0
-        for rid, count, cs in zip(static.lres, static.l_N, static.l_L):
-            n_path = requests.get(rid, 0)
-            if n_path > 0:
-                intra_block += (count - n_path) * cs
-        for k in lane.use_procs:
-            if sigma[k]:
-                intra_block += off[k]
-
-        # Lemma 5: intra-task interference.
-        noncrit = static.noncrit
-        onpath = 0.0
-        for v in profile.vertices:
-            onpath += noncrit[v]
-        local_offpath = 0.0
-        for rid, count, cs in zip(static.lres, static.l_N, static.l_L):
-            gap = count - requests.get(rid, 0)
-            if gap > 0:
-                local_offpath += gap * cs
-        intra_interf = (static.total_noncrit - onpath) + local_offpath
-
         own_off_cluster = sum(off[k] for k in lane.cluster_use_procs)
         return self._theorem1_scalar(
             lane,
-            profile.length,
+            length,
             eps,
-            intra_block,
+            _row_intra_block(lane, local_block, off, sigma),
             intra_interf,
             own_off_cluster,
             bound,
@@ -485,7 +596,7 @@ class DpcpPKernel:
         active: np.ndarray,
         bound: float,
     ) -> np.ndarray:
-        """Solve W = L_{i,q} + offpath + β + γ(W) for active (profile, resource) pairs.
+        """Solve W = L_{i,q} + offpath + β + γ(W) for active (row, resource) pairs.
 
         Returns γ evaluated at the solved windows, shaped like ``active``
         (``inf`` where the window diverged, 0 where inactive) — the quantity
@@ -515,17 +626,6 @@ class DpcpPKernel:
             gamma[p_idx[finite], g_idx[finite]] = (eta * w_hp[:, finite]).sum(axis=0)
         gamma[p_idx[~finite], g_idx[~finite]] = _inf
         return gamma
-
-    def _off_matrix(self, lane: _TaskLane, nlam_g: np.ndarray) -> np.ndarray:
-        """Own off-path workload per (profile, processor): Eq. (3)'s intra term."""
-        P = nlam_g.shape[0]
-        static = lane.static
-        off = np.zeros((P, self._num_procs))
-        if static.ugr:
-            diff = np.maximum(static.g_N_arr[None, :] - nlam_g, 0.0) * static.g_L_arr[None, :]
-            for j, k in enumerate(lane.g_proc_list):
-                off[:, k] += diff[:, j]
-        return off
 
     def _epsilon(
         self, lane: _TaskLane, nlam_g: np.ndarray, gamma: np.ndarray
@@ -567,49 +667,25 @@ class DpcpPKernel:
 
         return solve_batched(start, step, bound)
 
-    def _profile_bounds_batched(
-        self, lane: _TaskLane, profiles: List[PathProfile], bound: float
+    def ep_bounds_batched(
+        self, lane: _TaskLane, cols: _EpColumns, bound: float
     ) -> np.ndarray:
-        """Theorem-1 bounds for a large batch of concrete path profiles."""
+        """Theorem-1 bounds of every signature row of a wide enumeration."""
         self._ensure_batched_arrays(lane)
-        static = lane.static
-        P = len(profiles)
-        G, Gl = len(static.ugr), len(static.lres)
-        lengths = np.empty(P)
-        nlam_g = np.zeros((P, G))
-        nlam_l = np.zeros((P, Gl))
-        onpath_noncrit = np.empty(P)
-        noncrit = static.noncrit_arr
-        for p, prof in enumerate(profiles):
-            lengths[p] = prof.length
-            req = prof.requests
-            for j, rid in enumerate(static.ugr):
-                nlam_g[p, j] = req.get(rid, 0)
-            for j, rid in enumerate(static.lres):
-                nlam_l[p, j] = req.get(rid, 0)
-            idxs = np.fromiter(prof.vertices, dtype=np.intp, count=len(prof.vertices))
-            onpath_noncrit[p] = noncrit[idxs].sum()
+        lengths = cols.enumeration.lengths
+        P = len(lengths)
+        num_procs = self._num_procs
 
-        off_w = self._off_matrix(lane, nlam_g)
+        # Own off-path workload per (row, processor): Eq. (3)'s intra term,
+        # and σ — whether the row requests a resource hosted there.
+        off_w = np.zeros((P, num_procs))
+        has_req = np.zeros((P, num_procs), dtype=bool)
+        for j, k in enumerate(lane.g_proc_list):
+            off_w[:, k] += cols.off_g[:, j]
+            has_req[:, k] |= cols.req_g[:, j]
 
         # Lemma 4: intra-task blocking.
-        if Gl:
-            local_block = (
-                (static.l_N_arr[None, :] - nlam_l) * static.l_L_arr[None, :] * (nlam_l > 0)
-            ).sum(axis=1)
-            local_offpath = (
-                np.maximum(static.l_N_arr[None, :] - nlam_l, 0.0) * static.l_L_arr[None, :]
-            ).sum(axis=1)
-        else:
-            local_block = np.zeros(P)
-            local_offpath = np.zeros(P)
-        has_req = np.zeros((P, self._num_procs), dtype=bool)
-        for j, k in enumerate(lane.g_proc_list):
-            has_req[:, k] |= nlam_g[:, j] > 0
-        intra_block = local_block + (off_w * has_req).sum(axis=1)
-
-        # Lemma 5: intra-task interference.
-        intra_interf = (static.total_noncrit - onpath_noncrit) + local_offpath
+        intra_block = cols.local_block + (off_w * has_req).sum(axis=1)
 
         # Lemma 6's own-agent term on the task's cluster.
         if lane.cluster_procs.size:
@@ -618,16 +694,27 @@ class DpcpPKernel:
             own_off_cluster = np.zeros(P)
 
         # Lemma 2 windows and Lemma 3's per-request view.
-        gamma = self._request_windows(lane, off_w, nlam_g > 0, bound)
-        eps = self._epsilon(lane, nlam_g, gamma)
+        gamma = self._request_windows(lane, off_w, cols.req_g, bound)
+        eps = self._epsilon(lane, cols.n_g, gamma)
 
         return self._theorem1_batched(
-            lane, lengths, eps, intra_block, intra_interf, own_off_cluster, bound
+            lane, lengths, eps, intra_block, cols.intra_interf,
+            own_off_cluster, bound,
         )
 
     # ------------------------------------------------------------------ #
     # Public per-task bounds
     # ------------------------------------------------------------------ #
+    def ep_columns(
+        self, task: DAGTask, enumeration: PathEnumerationResult
+    ) -> _EpColumns:
+        """The task's partition-independent EP columns (cached per enumeration)."""
+        cols = self._ep_cache.get(task.task_id)
+        if cols is None or cols.enumeration is not enumeration:
+            cols = _build_ep_columns(self.tables.table(task), enumeration)
+            self._ep_cache[task.task_id] = cols
+        return cols
+
     def path_wcrt(
         self,
         task: DAGTask,
@@ -638,7 +725,20 @@ class DpcpPKernel:
         if divergence_bound is None:
             divergence_bound = task.deadline
         lane = self._lane(task)
-        return self._profile_wcrt_scalar(lane, profile, divergence_bound)
+        static = lane.static
+        requests = profile.requests
+        noncrit = static.noncrit
+        onpath = 0.0
+        for v in profile.vertices:
+            onpath += noncrit[v]
+        row = _scalar_row(
+            static,
+            profile.length,
+            [requests.get(rid, 0) for rid in static.ugr],
+            [requests.get(rid, 0) for rid in static.lres],
+            onpath,
+        )
+        return self._row_wcrt_scalar(lane, row, divergence_bound)
 
     def task_wcrt_ep(
         self,
@@ -646,26 +746,28 @@ class DpcpPKernel:
         enumeration: PathEnumerationResult,
         divergence_bound: Optional[float] = None,
     ) -> float:
-        """Eq. (1): maximum over the enumerated path profiles (EN fallback when truncated)."""
+        """Eq. (1): maximum over the enumerated signatures (EN fallback when truncated)."""
         if divergence_bound is None:
             divergence_bound = task.deadline
         lane = self._lane(task)
-        profiles = enumeration.profiles
+        cols = self.ep_columns(task, enumeration)
         worst = 0.0
-        if len(profiles) >= BATCH_CUTOFF:
-            bounds = self._profile_bounds_batched(lane, profiles, divergence_bound)
+        if cols.rows is None:
+            bounds = self.ep_bounds_batched(lane, cols, divergence_bound)
             if bounds.size:
                 worst = float(bounds.max())
         else:
-            for profile in profiles:
-                worst = max(
-                    worst, self._profile_wcrt_scalar(lane, profile, divergence_bound)
-                )
+            # Row 0 is a longest signature, usually the first to diverge.
+            for row in cols.rows:
+                worst = max(worst, self._row_wcrt_scalar(lane, row, divergence_bound))
                 if math.isinf(worst):
                     break
         if math.isinf(worst):
             return _inf
         if not enumeration.exhaustive:
+            tel = _active_telemetry()
+            if tel is not None:
+                tel.count("ep.en_fallback")
             worst = max(worst, self.task_wcrt_en(task, divergence_bound))
         return worst
 

@@ -190,14 +190,18 @@ def task_wcrt_ep(
     """Eq. (1): the task WCRT bound as the maximum over its complete paths.
 
     When the enumeration is truncated the EN bound is used as a sound
-    over-approximation of the missing paths.
+    over-approximation of the missing paths.  The kernel reads the
+    enumerator's signature arrays; the reference engine evaluates the
+    walk's vertex-bearing profiles (:meth:`PathEnumerator.walk`), so the
+    oracle keeps computing Lemma 5 from real vertex sets.
     """
     _check_engine(engine)
     if divergence_bound is None:
         divergence_bound = task.deadline
-    enumeration = enumerator.enumerate(task)
     if engine == ENGINE_KERNEL:
+        enumeration = enumerator.enumerate(task)
         return ctx.kernel.task_wcrt_ep(task, enumeration, divergence_bound)
+    enumeration = enumerator.walk(task)
     worst = 0.0
     for profile in enumeration.profiles:
         bound = _path_wcrt_reference(ctx, task, profile, divergence_bound)

@@ -678,47 +678,32 @@ def _dpcp_ep_step(
     kernel, arena, slot, cols, task, enumerator, bound, response_times
 ):
     """EP bound for one task: window wave, Theorem 1 wave, EN fallback."""
-    from ..dpcp_p.kernel import BATCH_CUTOFF
+    from ..dpcp_p.kernel import _row_intra_block, _row_offpath
 
     enumeration = enumerator.enumerate(task)
     arena.sync(slot, response_times)
     lane = kernel._lane(task)
-    profiles = enumeration.profiles
+    columns = kernel.ep_columns(task, enumeration)
     worst = 0.0
-    if len(profiles) >= BATCH_CUTOFF:
+    if columns.rows is None:
         # Wide enumerations already run through the kernel's within-taskset
         # batched path; reuse it inline (it reads the shared tables'
         # carried state, valid for the duration of this driver step).
         kernel.sync_response_times(response_times)
-        bounds = kernel._profile_bounds_batched(lane, profiles, bound)
+        bounds = kernel.ep_bounds_batched(lane, columns, bound)
         if bounds.size:
             worst = float(bounds.max())
     else:
         static = lane.static
 
-        def profile_chunk(chunk):
+        def row_chunk(chunk):
             """Windows then Theorem 1 for ``chunk``; returns the bounds."""
-            per_profile = []
+            per_row = []
             wave: Wave = []
-            for profile in chunk:
-                requests = profile.requests
-                off: Dict[int, float] = {}
-                sigma: Dict[int, bool] = {}
-                for k, entries in lane.g_by_proc.items():
-                    total = 0.0
-                    requested = False
-                    for rid, count, cs in entries:
-                        on_path = requests.get(rid, 0)
-                        if on_path > 0:
-                            requested = True
-                        gap = count - on_path
-                        if gap > 0:
-                            total += gap * cs
-                    off[k] = total
-                    sigma[k] = requested
-                plan: List[Tuple[int, int, float, int, str, float]] = []
-                for g, rid in enumerate(static.ugr):
-                    n_path = requests.get(rid, 0)
+            for _length, n_g, _local_block, _intra_interf in chunk:
+                off, sigma = _row_offpath(lane, n_g)
+                plan: List[Tuple[int, float, int, str, float]] = []
+                for g, n_path in enumerate(n_g):
                     if n_path <= 0:
                         continue
                     k = lane.g_proc_list[g]
@@ -727,65 +712,50 @@ def _dpcp_ep_step(
                     grp = cols.hp(lane, k)
                     if grp is None:
                         plan.append(
-                            (g, k, beta, n_path, "val",
-                             0.0 if const <= bound else _inf)
+                            (k, beta, n_path, "val", 0.0 if const <= bound else _inf)
                         )
                     else:
-                        plan.append(
-                            (g, k, beta, n_path, "req", float(len(wave)))
-                        )
+                        plan.append((k, beta, n_path, "req", float(len(wave))))
                         wave.append(_window_request(grp, const, bound))
-                per_profile.append((off, sigma, plan))
+                per_row.append((off, sigma, plan))
             answers = yield from _ask(wave)
 
             wave2: Wave = []
-            for profile, (off, sigma, plan) in zip(chunk, per_profile):
-                requests = profile.requests
+            for (length, _n_g, local_block, intra_interf), (off, sigma, plan) in zip(
+                chunk, per_row
+            ):
                 eps: Dict[int, float] = {}
-                for g, k, beta, n_path, kind, value in plan:
+                for k, beta, n_path, kind, value in plan:
                     gamma = answers[int(value)] if kind == "req" else value
                     eps[k] = eps.get(k, 0.0) + n_path * (beta + gamma)
-                intra_block = 0.0
-                for rid, count, cs in zip(static.lres, static.l_N, static.l_L):
-                    n_path = requests.get(rid, 0)
-                    if n_path > 0:
-                        intra_block += (count - n_path) * cs
-                for k in lane.use_procs:
-                    if sigma[k]:
-                        intra_block += off[k]
-                noncrit = static.noncrit
-                onpath = 0.0
-                for v in profile.vertices:
-                    onpath += noncrit[v]
-                local_offpath = 0.0
-                for rid, count, cs in zip(static.lres, static.l_N, static.l_L):
-                    gap = count - requests.get(rid, 0)
-                    if gap > 0:
-                        local_offpath += gap * cs
-                intra_interf = (static.total_noncrit - onpath) + local_offpath
                 own_off_cluster = sum(off[k] for k in lane.cluster_use_procs)
                 wave2.append(_theorem1_request(
-                    cols, lane, profile.length, eps, intra_block,
+                    cols, lane, length, eps,
+                    _row_intra_block(lane, local_block, off, sigma),
                     intra_interf, own_off_cluster, bound,
                 ))
             answers2 = yield from _ask(wave2)
             return answers2
 
-        # The serial loop breaks at the first infinite profile bound, and on
+        # The serial loop breaks at the first infinite row bound, and on
         # this workload most infeasible tasks are infeasible already on the
-        # first (critical-path) profile.  Probe it alone, then batch the
-        # remaining profiles only when it stays finite; a straggler turning
-        # infinite mid-batch is computed wastefully, but max() lands on the
-        # same value the serial break would have returned.
-        if profiles:
-            first = yield from profile_chunk(profiles[:1])
+        # critical path, which the enumerator emits as row 0.  Probe it
+        # alone, then batch the remaining rows only when it stays finite; a
+        # straggler turning infinite mid-batch is computed wastefully, but
+        # max() lands on the same value the serial break would have returned.
+        rows = columns.rows
+        if rows:
+            first = yield from row_chunk(rows[:1])
             worst = max(worst, first[0])
-            if not math.isinf(worst) and len(profiles) > 1:
-                for value in (yield from profile_chunk(profiles[1:])):
+            if not math.isinf(worst) and len(rows) > 1:
+                for value in (yield from row_chunk(rows[1:])):
                     worst = max(worst, value)
     if math.isinf(worst):
         return _inf
     if not enumeration.exhaustive:
+        tel = _active_telemetry()
+        if tel is not None:
+            tel.count("ep.en_fallback")
         en = yield from _dpcp_en_step(
             kernel, arena, slot, cols, lane, bound, response_times
         )

@@ -57,7 +57,6 @@ class CompiledTask:
     g_L_arr: Optional[np.ndarray] = field(repr=False, default=None)
     l_N_arr: Optional[np.ndarray] = field(repr=False, default=None)
     l_L_arr: Optional[np.ndarray] = field(repr=False, default=None)
-    noncrit_arr: Optional[np.ndarray] = field(repr=False, default=None)
 
     def ensure_arrays(self) -> None:
         """Materialize the NumPy views (batched solver paths only)."""
@@ -66,7 +65,6 @@ class CompiledTask:
             self.g_L_arr = np.array(self.g_L)
             self.l_N_arr = np.array(self.l_N)
             self.l_L_arr = np.array(self.l_L)
-            self.noncrit_arr = np.array(self.noncrit)
 
 
 class CompiledTaskset:
@@ -161,14 +159,7 @@ class CompiledTaskset:
         lres = [r for r in used if r not in is_global]
         l_N = [usage[r][0] for r in lres]
         l_L = [usage[r][1] for r in lres]
-        noncrit = [
-            max(
-                0.0,
-                v.wcet
-                - sum(c * usage[r][1] for r, c in v.requests.items() if c > 0),
-            )
-            for v in task.vertices
-        ]
+        noncrit = task.vertex_non_critical_wcets()
         tables = CompiledTask(
             used=used,
             N=[usage[r][0] for r in used],

@@ -12,13 +12,37 @@ concerns are handled here:
   callers fall back to the (sound but more pessimistic) EN-style bound.
 
 The default enumeration algorithm is a dynamic program over analysis
-signatures: partial signatures ``(length, per-resource request counts)`` are
-propagated along the DAG in topological order and deduplicated at every
-vertex, so the cost scales with the number of *distinct* signatures rather
-than with the (possibly exponential) number of raw paths — no path is ever
-walked individually.  The raw-path cap is enforced by the same capped
-O(V+E) counting pass the walk uses.  The original depth-first walk over raw
-paths is retained (``algorithm="walk"``) as a reference oracle.
+signatures: partial signatures are propagated along the DAG in topological
+order and deduplicated at every vertex, so the cost scales with the number
+of *distinct* signatures rather than with the (possibly exponential) number
+of raw paths — no path is ever walked individually.  The raw-path cap is
+enforced by the same capped O(V+E) counting pass the walk uses.  The
+original depth-first walk over raw paths is retained (``algorithm="walk"``)
+as a reference oracle.
+
+**Integer request codes.**  A path's per-resource request vector is one
+Python int with a fixed bit field per requested resource, each field wide
+enough for the task's total request count on that resource (no path can
+exceed it, so fields never carry into each other).  Merging a partial path
+with a vertex is then ``code + vertex_code``, and two request vectors are
+equal exactly when their codes are.  The DP keys partial signatures on
+``(round(length, 9), code)`` — the same equivalence as
+:meth:`PathProfile.signature`'s ``(round(length, 9), sorted request tuple)``
+— so the per-vertex signature counts, and with them every cap trip, are
+those of the tuple-keyed DP this replaced.  Codes are arbitrary-precision
+ints; only decoding them into the ``counts`` matrix needs care (tasks with
+many heavily requested resources need more than 63 bits, see
+:func:`_decode_counts`).
+
+**No representative paths.**  The DP value is the first-seen path's exact
+length plus its on-path non-critical WCET (Lemma 5's on-path term), summed
+vertex by vertex from :meth:`DAGTask.vertex_non_critical_wcets`, so no
+vertex tuples are built.  Results expose the enumeration as arrays
+(``resource_ids``, ``lengths``, ``counts``, ``onpath_noncrit``) that the
+DPCP-p kernel consumes directly; ``profiles`` is a lazy
+:class:`PathProfile` view over them whose rows carry ``vertices=()``.  The
+walk fills the same arrays from its vertex-bearing profiles, which the
+reference engine keeps using (:meth:`PathEnumerator.walk`).
 
 Partial signatures are deduplicated at the same rounded-length granularity
 as complete-path signatures, and extending every signature at a vertex by one
@@ -31,9 +55,13 @@ cap/``exhaustive`` semantics of the walk are preserved.
 
 from __future__ import annotations
 
+import operator
 import weakref
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from collections.abc import Sequence as _SequenceABC
+from functools import reduce
+from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..model.dag import PathProfile
 from ..model.task import DAGTask
@@ -55,44 +83,219 @@ ALGORITHM_WALK = "walk"
 #: per-vertex signature bookkeeping of the dynamic program.
 WALK_SHORTCUT_PATHS = 64
 
+#: Widest request code (in bits) decoded with int64 arithmetic.
+_INT64_CODE_BITS = 63
 
-@dataclass
+
 class PathEnumerationResult:
     """Outcome of enumerating the complete paths of one task.
 
+    One row per distinct analysis signature; row 0 is a longest one.
+
     Attributes
     ----------
-    profiles:
-        Deduplicated path profiles (one per distinct analysis signature).
+    resource_ids:
+        The ``U`` resources the task's vertices request, ascending; the
+        columns of ``counts``.
+    lengths:
+        ``(P,)`` path lengths :math:`L(\\lambda)` (exact floats of one path
+        per signature).
+    counts:
+        ``(P, U)`` int64 on-path request counts :math:`N^\\lambda_{i,q}`.
+    onpath_noncrit:
+        ``(P,)`` non-critical WCET of the vertices on that same path
+        (Lemma 5's on-path term).
     exhaustive:
-        ``True`` when every complete path is covered by the profiles;
-        ``False`` when a cap was hit and the profiles only cover a subset.
+        ``True`` when every complete path is covered by the rows;
+        ``False`` when a cap was hit and the rows only cover a subset.
     total_paths_seen:
         Number of raw paths covered before stopping (the exact complete-path
         count when the enumeration is exhaustive).
+    profiles:
+        The rows as :class:`PathProfile` objects: the walk's own
+        vertex-bearing profiles, or a lazy view whose rows carry
+        ``vertices=()`` for the signature DP.  ``len(profiles)`` is ``P``.
     """
 
-    profiles: List[PathProfile]
-    exhaustive: bool
-    total_paths_seen: int
+    __slots__ = (
+        "resource_ids",
+        "lengths",
+        "counts",
+        "onpath_noncrit",
+        "exhaustive",
+        "total_paths_seen",
+        "_profiles",
+        "__weakref__",
+    )
+
+    def __init__(
+        self,
+        resource_ids: Tuple[int, ...],
+        lengths: np.ndarray,
+        counts: np.ndarray,
+        onpath_noncrit: np.ndarray,
+        exhaustive: bool,
+        total_paths_seen: int,
+        profiles: Optional[List[PathProfile]] = None,
+    ) -> None:
+        self.resource_ids = resource_ids
+        self.lengths = lengths
+        self.counts = counts
+        self.onpath_noncrit = onpath_noncrit
+        self.exhaustive = exhaustive
+        self.total_paths_seen = total_paths_seen
+        self._profiles = profiles
+
+    @property
+    def profiles(self) -> Sequence[PathProfile]:
+        """The rows as path profiles (see the class docstring)."""
+        if self._profiles is None:
+            return SignatureProfiles(self)
+        return self._profiles
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return (
+            f"PathEnumerationResult(P={len(self.lengths)}, "
+            f"exhaustive={self.exhaustive}, paths={self.total_paths_seen})"
+        )
 
 
-def _merge_requests(
-    base: Tuple[Tuple[int, int], ...], extra: Tuple[Tuple[int, int], ...]
-) -> Tuple[Tuple[int, int], ...]:
-    """Merge two sorted ``(resource, count)`` tuples, summing counts."""
-    if not extra:
-        return base
-    if not base:
-        return extra
-    counts = dict(base)
-    for rid, cnt in extra:
-        counts[rid] = counts.get(rid, 0) + cnt
-    return tuple(sorted(counts.items()))
+class SignatureProfiles(_SequenceABC):
+    """Lazy :class:`PathProfile` sequence over a result's arrays.
+
+    ``len()`` is free; indexing, slicing and iteration build profiles on
+    demand, with ``vertices=()`` (the signature DP keeps no paths).
+    """
+
+    __slots__ = ("_result",)
+
+    def __init__(self, result: PathEnumerationResult) -> None:
+        self._result = result
+
+    def __len__(self) -> int:
+        return len(self._result.lengths)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        row = operator.index(index)
+        size = len(self)
+        if row < 0:
+            row += size
+        if not 0 <= row < size:
+            raise IndexError("profile index out of range")
+        result = self._result
+        return PathProfile(
+            vertices=(),
+            length=float(result.lengths[row]),
+            requests={
+                rid: int(count)
+                for rid, count in zip(result.resource_ids, result.counts[row])
+                if count
+            },
+        )
+
+
+def _requested_resources(task: DAGTask) -> Tuple[Tuple[int, ...], List[int]]:
+    """Resources the vertices request (ascending) and each one's total count.
+
+    ``DAGTask`` reconciles its usages with the vertex requests at
+    construction, so these are its used resources and their :math:`N_{i,q}`.
+    """
+    resource_ids = tuple(task.used_resources())
+    return resource_ids, [task.request_count(rid) for rid in resource_ids]
+
+
+def _code_layout(totals: Sequence[int]) -> Tuple[List[int], List[int], int]:
+    """Bit-field ``(shifts, masks, total bits)`` of the request codes.
+
+    Each field holds up to the task's total request count on its resource,
+    which bounds every path's count, so sums of path codes never carry
+    across fields.
+    """
+    shifts, masks = [], []
+    bits = 0
+    for total in totals:
+        width = max(1, int(total).bit_length())
+        shifts.append(bits)
+        masks.append((1 << width) - 1)
+        bits += width
+    return shifts, masks, bits
+
+
+def _decode_counts(
+    codes: Sequence[int], shifts: Sequence[int], masks: Sequence[int], bits: int
+) -> np.ndarray:
+    """``(P, U)`` int64 request counts of the given request codes.
+
+    Codes up to 63 bits are split with vectorised int64 shifts; wider codes
+    (many heavily requested resources) are split field by field on Python
+    ints, since packing them into int64 first would overflow.
+    """
+    P, U = len(codes), len(shifts)
+    if U == 0:
+        return np.zeros((P, 0), dtype=np.int64)
+    if bits <= _INT64_CODE_BITS:
+        packed = np.fromiter(codes, dtype=np.int64, count=P)
+        return (packed[:, None] >> np.array(shifts, dtype=np.int64)) & np.array(
+            masks, dtype=np.int64
+        )
+    counts = np.empty((P, U), dtype=np.int64)
+    for col, (shift, mask) in enumerate(zip(shifts, masks)):
+        counts[:, col] = np.fromiter(
+            ((code >> shift) & mask for code in codes), dtype=np.int64, count=P
+        )
+    return counts
+
+
+def _longest_first(*rows: list) -> None:
+    """Swap a longest row (first argmax of ``rows[0]``) to index 0, in place.
+
+    Consumers that probe row 0 alone (the scalar loop's early ``inf`` break,
+    the arena's critical-path probe) then probe the critical path.  The EP
+    bound is a maximum over rows, so the order never changes a result.
+    """
+    lengths = rows[0]
+    best = max(range(len(lengths)), key=lengths.__getitem__, default=0)
+    if best:
+        for column in rows:
+            column[0], column[best] = column[best], column[0]
+
+
+def _from_profiles(
+    task: DAGTask,
+    profiles: List[PathProfile],
+    exhaustive: bool,
+    total_paths_seen: int,
+) -> PathEnumerationResult:
+    """Array view of vertex-bearing profiles (walk and fallback results)."""
+    profiles = list(profiles)
+    resource_ids, _totals = _requested_resources(task)
+    noncrit = task.vertex_non_critical_wcets()
+    lengths = [p.length for p in profiles]
+    # Left-to-right float sums, as the DP accumulates them.
+    onpath = [
+        reduce(operator.add, map(noncrit.__getitem__, p.vertices), 0.0)
+        for p in profiles
+    ]
+    _longest_first(lengths, onpath, profiles)
+    counts = np.array(
+        [[p.requests.get(rid, 0) for rid in resource_ids] for p in profiles],
+        dtype=np.int64,
+    ).reshape(len(profiles), len(resource_ids))
+    return PathEnumerationResult(
+        resource_ids=resource_ids,
+        lengths=np.array(lengths, dtype=float),
+        counts=counts,
+        onpath_noncrit=np.array(onpath, dtype=float),
+        exhaustive=exhaustive,
+        total_paths_seen=total_paths_seen,
+        profiles=profiles,
+    )
 
 
 class PathEnumerator:
-    """Enumerates and caches the path profiles of tasks.
+    """Enumerates and caches the path signatures of tasks.
 
     Parameters
     ----------
@@ -131,7 +334,7 @@ class PathEnumerator:
         )
 
     def enumerate(self, task: DAGTask) -> PathEnumerationResult:
-        """Enumerate (and cache) the distinct path profiles of ``task``."""
+        """Enumerate (and cache) the distinct path signatures of ``task``."""
         num_edges = task.dag.num_edges
         cached = self._cache.get(task)
         tel = _active_telemetry()
@@ -139,14 +342,28 @@ class PathEnumerator:
             if tel is not None:
                 tel.count("enumeration.cache.hits")
             return cached[1]
-        if tel is not None:
-            tel.count("enumeration.cache.misses")
         if self.algorithm == ALGORITHM_DP:
             result = self._enumerate_dp(task)
         else:
             result = self._enumerate_walk(task)
+        if tel is not None:
+            tel.count("enumeration.cache.misses")
+            tel.count("enumeration.signatures", len(result.lengths))
+            if not result.exhaustive:
+                tel.count("enumeration.truncated")
         self._cache[task] = (num_edges, result)
         return result
+
+    def walk(self, task: DAGTask) -> PathEnumerationResult:
+        """The reference walk's enumeration of ``task`` under the same caps.
+
+        Its profiles carry real vertex tuples, which the straight-line
+        reference analysis needs for Lemma 5.  Not cached or counted: only
+        the reference oracle calls it.
+        """
+        if self.algorithm == ALGORITHM_WALK:
+            return self.enumerate(task)
+        return self._enumerate_walk(task)
 
     # ------------------------------------------------------------------ #
     # Signature-space dynamic program (default)
@@ -160,12 +377,15 @@ class PathEnumerator:
         to the raw walk, whose constant factor is lower.
 
         Otherwise each vertex holds a mapping ``(rounded length, request
-        tuple) -> (exact length, representative path)`` over the
-        source-to-vertex paths ending at it: deduplication happens at the
-        reference signature granularity (``round(length, 9)``, matching
-        ``PathProfile.signature()``), while the exact length travels in the
-        value so the emitted profiles carry the same floats a raw walk would
-        produce.
+        code) -> (exact length, on-path non-critical WCET)`` over the
+        source-to-vertex paths ending at it, first-seen path winning.
+        Deduplication happens at the reference signature granularity
+        (``round(length, 9)``, matching ``PathProfile.signature()``), while
+        the exact length travels in the value so the rows carry the same
+        floats a raw walk would produce.  Keying on exact lengths would let
+        paths that the walk treats as one signature (lengths differing below
+        1e-9) inflate the per-vertex sets and trip the cap where the walk
+        stays exhaustive.
         """
         dag = task.dag
         total_paths = dag.count_complete_paths(limit=self.max_paths + 1)
@@ -178,36 +398,34 @@ class PathEnumerator:
         pred_lists = dag.predecessor_lists()
         succ_lists = dag.successor_lists()
 
+        resource_ids, totals = _requested_resources(task)
+        shifts, masks, bits = _code_layout(totals)
+        shift_of = dict(zip(resource_ids, shifts))
         wcets = [v.wcet for v in task.vertices]
-        vertex_requests = [
-            tuple(sorted((r, c) for r, c in v.requests.items() if c > 0))
+        noncrit = task.vertex_non_critical_wcets()
+        codes = [
+            sum(count << shift_of[rid] for rid, count in v.requests.items() if count > 0)
             for v in task.vertices
         ]
-        # Partial signatures are keyed on the *rounded* length — the same
-        # granularity PathProfile.signature() (and hence the walk) dedups
-        # complete paths at — while the exact length travels in the value, so
-        # the emitted profiles carry the same floats a raw walk would
-        # produce.  Keying on exact lengths would let paths that the walk
-        # treats as one signature (lengths differing below 1e-9) inflate the
-        # per-vertex sets and trip the cap where the walk stays exhaustive.
-        sigs: Dict[int, Dict[Tuple, Tuple[float, Tuple[int, ...]]]] = {}
+        cap = self.max_signatures
+        sigs: Dict[int, Dict[Tuple[float, int], Tuple[float, float]]] = {}
         pending_succs = [len(succ_lists[v]) for v in range(dag.num_vertices)]
         for v in order:
             preds = pred_lists[v]
+            wcet = wcets[v]
+            own = noncrit[v]
+            code = codes[v]
             if not preds:
-                sigs[v] = {(round(wcets[v], 9), vertex_requests[v]): (wcets[v], (v,))}
+                sigs[v] = {(round(wcet, 9), code): (wcet, own)}
             else:
-                merged: Dict[Tuple, Tuple[float, Tuple[int, ...]]] = {}
+                merged: Dict[Tuple[float, int], Tuple[float, float]] = {}
                 for u in sorted(preds):
-                    for (_rkey, requests), (length, rep) in sigs[u].items():
-                        exact = length + wcets[v]
-                        key = (
-                            round(exact, 9),
-                            _merge_requests(requests, vertex_requests[v]),
-                        )
+                    for (_rounded, prefix), (length, onpath) in sigs[u].items():
+                        exact = length + wcet
+                        key = (round(exact, 9), prefix + code)
                         if key not in merged:
-                            merged[key] = (exact, rep + (v,))
-                if len(merged) > self.max_signatures:
+                            merged[key] = (exact, onpath + own)
+                if len(merged) > cap:
                     return self._truncated(task)
                 sigs[v] = merged
             # Free per-vertex signature sets as soon as every successor has
@@ -217,20 +435,24 @@ class PathEnumerator:
                 if pending_succs[u] == 0 and succ_lists[u]:
                     del sigs[u]
 
-        profiles: Dict[Tuple, PathProfile] = {}
+        rows: Dict[Tuple[float, int], Tuple[float, float]] = {}
         for sink in range(dag.num_vertices):
             if succ_lists[sink]:
                 continue
-            for (rkey, requests), (length, rep) in sigs[sink].items():
-                key = (rkey, requests)
-                if key not in profiles:
-                    profiles[key] = PathProfile(
-                        vertices=rep, length=length, requests=dict(requests)
-                    )
-        if len(profiles) > self.max_signatures:
+            for key, value in sigs[sink].items():
+                if key not in rows:
+                    rows[key] = value
+        if len(rows) > cap:
             return self._truncated(task)
+        lengths = [value[0] for value in rows.values()]
+        onpath = [value[1] for value in rows.values()]
+        row_codes = [key[1] for key in rows]
+        _longest_first(lengths, onpath, row_codes)
         return PathEnumerationResult(
-            profiles=list(profiles.values()),
+            resource_ids=resource_ids,
+            lengths=np.array(lengths, dtype=float),
+            counts=_decode_counts(row_codes, shifts, masks, bits),
+            onpath_noncrit=np.array(onpath, dtype=float),
             exhaustive=True,
             total_paths_seen=total_paths,
         )
@@ -240,13 +462,9 @@ class PathEnumerator:
 
         Callers treat any non-exhaustive enumeration by falling back to the
         EN-style bound, which dominates every per-path bound — so the choice
-        of retained profiles does not affect the final task bound.
+        of retained rows does not affect the final task bound.
         """
-        return PathEnumerationResult(
-            profiles=[task.critical_path_profile()],
-            exhaustive=False,
-            total_paths_seen=0,
-        )
+        return _from_profiles(task, [task.critical_path_profile()], False, 0)
 
     # ------------------------------------------------------------------ #
     # Reference raw-path walk
@@ -286,11 +504,7 @@ class PathEnumerator:
             profiles_list = [task.critical_path_profile()]
         else:
             profiles_list = list(profiles.values())
-        return PathEnumerationResult(
-            profiles=profiles_list,
-            exhaustive=exhaustive,
-            total_paths_seen=seen,
-        )
+        return _from_profiles(task, profiles_list, exhaustive, seen)
 
     def clear(self) -> None:
         """Drop all cached enumerations."""
@@ -315,8 +529,4 @@ def critical_path_only(task: DAGTask) -> PathEnumerationResult:
     Used by the EN-style analyses, which reason about the longest path and
     treat the per-resource request counts as free variables.
     """
-    return PathEnumerationResult(
-        profiles=[task.critical_path_profile()],
-        exhaustive=False,
-        total_paths_seen=1,
-    )
+    return _from_profiles(task, [task.critical_path_profile()], False, 1)

@@ -126,6 +126,7 @@ class DAGTask:
         self._validate_wcets()
         self._critical_path_cache: Optional[Tuple[int, float]] = None
         self._wcet_cache: Optional[float] = None
+        self._non_critical_cache: Optional[List[float]] = None
         self._min_processors_cache: Optional[Tuple[int, int]] = None
 
     # ------------------------------------------------------------------ #
@@ -222,6 +223,26 @@ class DAGTask:
     def non_critical_wcet(self) -> float:
         """:math:`C'_i = C_i - \\sum_q N_{i,q} L_{i,q}`."""
         return self.wcet - sum(u.total_cs_time for u in self._usages.values())
+
+    def vertex_non_critical_wcets(self) -> List[float]:
+        """Per-vertex :math:`C'_{i,x}`: WCET minus the vertex's critical sections.
+
+        Clamped at zero.  The path enumerator sums these along every path
+        and the compiled analysis tables read them, so both use this one
+        expression and agree bit for bit.  Cached like :attr:`wcet` (the
+        vertices are fixed at construction); treat the list as read-only.
+        """
+        if self._non_critical_cache is None:
+            usages = self._usages
+            self._non_critical_cache = [
+                max(
+                    0.0,
+                    v.wcet
+                    - sum(c * usages[r].cs_length for r, c in v.requests.items() if c > 0),
+                )
+                for v in self.vertices
+            ]
+        return self._non_critical_cache
 
     def minimum_processors(self) -> int:
         """Initial federated assignment :math:`\\lceil (C_i-L^*_i)/(D_i-L^*_i) \\rceil`.

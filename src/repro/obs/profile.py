@@ -143,6 +143,29 @@ class ComputeProfile:
             "requests_per_solve": requests / solves if solves else 0.0,
         }
 
+    def ep_fidelity(self) -> "Optional[Dict[str, float]]":
+        """How often EP path enumeration hit its cap, if any task was enumerated.
+
+        Returns ``None`` without ``enumeration.cache.misses`` (no EP
+        analysis ran with telemetry); otherwise the enumerated-task count
+        (one per distinct task and test), the truncated ones, the signature
+        total, the EN fallback bounds (``ep.en_fallback``, one per EP bound
+        of a truncated task, retries included) and ``degraded_percent`` —
+        the share of enumerated tasks whose EP bound degraded to EN.
+        """
+        counters = self.telemetry.counters
+        enumerated = int(counters.get("enumeration.cache.misses", 0))
+        if not enumerated:
+            return None
+        truncated = int(counters.get("enumeration.truncated", 0))
+        return {
+            "enumerated": enumerated,
+            "truncated": truncated,
+            "signatures": int(counters.get("enumeration.signatures", 0)),
+            "en_fallbacks": int(counters.get("ep.en_fallback", 0)),
+            "degraded_percent": 100.0 * truncated / enumerated,
+        }
+
     def deterministic_counters(self) -> Dict[str, int]:
         """The integer counters (fixed-seed deterministic at any worker count)."""
         return dict(self.telemetry.counters)
@@ -281,6 +304,20 @@ def render_profile(profile: ComputeProfile, top: int = 10) -> str:
             f"({arena['requests_per_solve']:.1f} requests/solve)"
         )
         lines.append(f"  per-sample fallbacks  {arena['fallbacks']}")
+
+    fidelity = profile.ep_fidelity()
+    if fidelity is not None:
+        lines.append("")
+        lines.append("EP fidelity")
+        lines.append(
+            f"  EP degraded to EN for {fidelity['degraded_percent']:.1f}% of tasks "
+            f"({fidelity['truncated']} of {fidelity['enumerated']} enumerations "
+            "hit a cap)"
+        )
+        lines.append(
+            f"  signatures            {fidelity['signatures']}  "
+            f"({fidelity['en_fallbacks']} EN fallback bounds)"
+        )
 
     counters = profile.deterministic_counters()
     if counters:
