@@ -76,7 +76,7 @@ from ..engine.solver import (
     warn_no_convergence,
 )
 from ..engine.tables import CompiledTask, CompiledTaskset, compile_taskset
-from ..paths import PathEnumerationResult
+from ..paths import PathEnumerationResult, require_vertices
 
 #: Enumerations with at least this many signatures use the batched NumPy
 #: fixed-point solver; smaller ones use the scalar path over the same
@@ -721,7 +721,12 @@ class DpcpPKernel:
         profile: PathProfile,
         divergence_bound: Optional[float] = None,
     ) -> float:
-        """WCRT bound of one concrete path (EP building block)."""
+        """WCRT bound of one concrete path (EP building block).
+
+        ``profile`` must carry its vertices (see
+        :func:`~repro.analysis.paths.require_vertices`).
+        """
+        require_vertices(profile)
         if divergence_bound is None:
             divergence_bound = task.deadline
         lane = self._lane(task)

@@ -37,7 +37,7 @@ from ..engine.solver import (
     check_engine as _check_engine,
 )
 from ..interfaces import TaskAnalysis
-from ..paths import PathEnumerator
+from ..paths import PathEnumerator, require_vertices
 from ..rta import least_fixed_point
 from .blocking import inter_task_blocking, intra_task_blocking, request_response_time
 from .context import DpcpPContext
@@ -95,6 +95,7 @@ def _path_wcrt_reference(
     divergence_bound: float,
 ) -> float:
     """Reference (straight-line) WCRT bound of one concrete path."""
+    require_vertices(profile)
     n_lambda = profile.requests
     request_windows: Dict[int, float] = {}
     for rid, count in n_lambda.items():
@@ -171,7 +172,12 @@ def path_wcrt(
     divergence_bound: Optional[float] = None,
     engine: str = DEFAULT_ENGINE,
 ) -> float:
-    """WCRT bound of one concrete path (EP building block)."""
+    """WCRT bound of one concrete path (EP building block).
+
+    ``profile`` must carry its vertices, as :meth:`DAGTask.path_profile` and
+    :meth:`PathEnumerator.walk` profiles do; a signature row of the DP's
+    lazy view (``vertices=()``) raises ``ValueError``.
+    """
     _check_engine(engine)
     if divergence_bound is None:
         divergence_bound = task.deadline
@@ -190,20 +196,25 @@ def task_wcrt_ep(
     """Eq. (1): the task WCRT bound as the maximum over its complete paths.
 
     When the enumeration is truncated the EN bound is used as a sound
-    over-approximation of the missing paths.  The kernel reads the
-    enumerator's signature arrays; the reference engine evaluates the
-    walk's vertex-bearing profiles (:meth:`PathEnumerator.walk`), so the
-    oracle keeps computing Lemma 5 from real vertex sets.
+    over-approximation of the missing paths.  Both engines take that
+    decision from :meth:`PathEnumerator.enumerate`.  The kernel reads its
+    signature arrays; the reference engine evaluates vertex-bearing
+    profiles — the walk's (:meth:`PathEnumerator.walk`) when the
+    enumeration is exhaustive, else the truncated enumeration's critical
+    path — so the oracle keeps computing Lemma 5 from real vertex sets.
     """
     _check_engine(engine)
     if divergence_bound is None:
         divergence_bound = task.deadline
+    enumeration = enumerator.enumerate(task)
     if engine == ENGINE_KERNEL:
-        enumeration = enumerator.enumerate(task)
         return ctx.kernel.task_wcrt_ep(task, enumeration, divergence_bound)
-    enumeration = enumerator.walk(task)
+    profiles = (
+        enumerator.walk(task).profiles if enumeration.exhaustive
+        else enumeration.profiles
+    )
     worst = 0.0
-    for profile in enumeration.profiles:
+    for profile in profiles:
         bound = _path_wcrt_reference(ctx, task, profile, divergence_bound)
         worst = max(worst, bound)
         if math.isinf(worst):

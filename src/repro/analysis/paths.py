@@ -78,14 +78,6 @@ DEFAULT_MAX_PATHS = 200_000
 ALGORITHM_DP = "dp"
 ALGORITHM_WALK = "walk"
 
-#: Path-count threshold below which the DP enumerator delegates to the raw
-#: walk: for a handful of paths the walk's constant factor beats the
-#: per-vertex signature bookkeeping of the dynamic program.
-WALK_SHORTCUT_PATHS = 64
-
-#: Widest request code (in bits) decoded with int64 arithmetic.
-_INT64_CODE_BITS = 63
-
 
 class PathEnumerationResult:
     """Outcome of enumerating the complete paths of one task.
@@ -196,6 +188,23 @@ class SignatureProfiles(_SequenceABC):
         )
 
 
+def require_vertices(profile: PathProfile) -> None:
+    """Reject a profile that carries a length but no vertices.
+
+    Lemma 5's on-path term sums the non-critical WCET of
+    ``profile.vertices``; a signature row of :class:`SignatureProfiles`
+    (``vertices=()``) would silently count every vertex as off-path and
+    yield a looser bound.  Per-path analyses call this first; take
+    vertex-bearing profiles from :meth:`PathEnumerator.walk` or
+    :meth:`DAGTask.path_profile` instead.
+    """
+    if not profile.vertices and profile.length > 0:
+        raise ValueError(
+            "path profile has no vertices (a signature row); per-path bounds "
+            "need a vertex-bearing profile, e.g. from PathEnumerator.walk()"
+        )
+
+
 def _requested_resources(task: DAGTask) -> Tuple[Tuple[int, ...], List[int]]:
     """Resources the vertices request (ascending) and each one's total count.
 
@@ -224,22 +233,14 @@ def _code_layout(totals: Sequence[int]) -> Tuple[List[int], List[int], int]:
 
 
 def _decode_counts(
-    codes: Sequence[int], shifts: Sequence[int], masks: Sequence[int], bits: int
+    codes: Sequence[int], shifts: Sequence[int], masks: Sequence[int]
 ) -> np.ndarray:
     """``(P, U)`` int64 request counts of the given request codes.
 
-    Codes up to 63 bits are split with vectorised int64 shifts; wider codes
-    (many heavily requested resources) are split field by field on Python
-    ints, since packing them into int64 first would overflow.
+    Codes are split field by field on Python ints: a code may be wider than
+    64 bits (many heavily requested resources), but every field fits int64.
     """
     P, U = len(codes), len(shifts)
-    if U == 0:
-        return np.zeros((P, 0), dtype=np.int64)
-    if bits <= _INT64_CODE_BITS:
-        packed = np.fromiter(codes, dtype=np.int64, count=P)
-        return (packed[:, None] >> np.array(shifts, dtype=np.int64)) & np.array(
-            masks, dtype=np.int64
-        )
     counts = np.empty((P, U), dtype=np.int64)
     for col, (shift, mask) in enumerate(zip(shifts, masks)):
         counts[:, col] = np.fromiter(
@@ -294,6 +295,18 @@ def _from_profiles(
     )
 
 
+#: Per-task enumeration cache: task -> (DAG edge count, result).
+_Cache = weakref.WeakKeyDictionary
+
+
+def _cached(cache: _Cache, task: DAGTask) -> Optional[PathEnumerationResult]:
+    """The cached result for ``task``, unless its DAG gained edges since."""
+    entry = cache.get(task)
+    if entry is not None and entry[0] == task.dag.num_edges:
+        return entry[1]
+    return None
+
+
 class PathEnumerator:
     """Enumerates and caches the path signatures of tasks.
 
@@ -329,19 +342,17 @@ class PathEnumerator:
         self.max_signatures = max_signatures
         self.max_paths = max_paths
         self.algorithm = algorithm
-        self._cache: "weakref.WeakKeyDictionary[DAGTask, Tuple[int, PathEnumerationResult]]" = (
-            weakref.WeakKeyDictionary()
-        )
+        self._cache = _Cache()
+        self._walk_cache = _Cache()
 
     def enumerate(self, task: DAGTask) -> PathEnumerationResult:
         """Enumerate (and cache) the distinct path signatures of ``task``."""
-        num_edges = task.dag.num_edges
-        cached = self._cache.get(task)
+        cached = _cached(self._cache, task)
         tel = _active_telemetry()
-        if cached is not None and cached[0] == num_edges:
+        if cached is not None:
             if tel is not None:
                 tel.count("enumeration.cache.hits")
-            return cached[1]
+            return cached
         if self.algorithm == ALGORITHM_DP:
             result = self._enumerate_dp(task)
         else:
@@ -351,19 +362,23 @@ class PathEnumerator:
             tel.count("enumeration.signatures", len(result.lengths))
             if not result.exhaustive:
                 tel.count("enumeration.truncated")
-        self._cache[task] = (num_edges, result)
+        self._cache[task] = (task.dag.num_edges, result)
         return result
 
     def walk(self, task: DAGTask) -> PathEnumerationResult:
         """The reference walk's enumeration of ``task`` under the same caps.
 
         Its profiles carry real vertex tuples, which the straight-line
-        reference analysis needs for Lemma 5.  Not cached or counted: only
-        the reference oracle calls it.
+        reference analysis needs for Lemma 5.  Cached like
+        :meth:`enumerate` but not counted: only the reference oracle calls it.
         """
         if self.algorithm == ALGORITHM_WALK:
             return self.enumerate(task)
-        return self._enumerate_walk(task)
+        result = _cached(self._walk_cache, task)
+        if result is None:
+            result = self._enumerate_walk(task)
+            self._walk_cache[task] = (task.dag.num_edges, result)
+        return result
 
     # ------------------------------------------------------------------ #
     # Signature-space dynamic program (default)
@@ -373,8 +388,7 @@ class PathEnumerator:
 
         The complete-path count is checked first (one capped O(V+E) counting
         pass, shared with the walk): astronomically many paths fall back to
-        the critical path immediately, and a trivially small count delegates
-        to the raw walk, whose constant factor is lower.
+        the critical path immediately.
 
         Otherwise each vertex holds a mapping ``(rounded length, request
         code) -> (exact length, on-path non-critical WCET)`` over the
@@ -391,15 +405,13 @@ class PathEnumerator:
         total_paths = dag.count_complete_paths(limit=self.max_paths + 1)
         if total_paths > self.max_paths:
             return self._truncated(task)
-        if total_paths <= min(WALK_SHORTCUT_PATHS, self.max_paths):
-            return self._walk(task, total_paths)
 
         order = dag.topological_order()
         pred_lists = dag.predecessor_lists()
         succ_lists = dag.successor_lists()
 
         resource_ids, totals = _requested_resources(task)
-        shifts, masks, bits = _code_layout(totals)
+        shifts, masks, _bits = _code_layout(totals)
         shift_of = dict(zip(resource_ids, shifts))
         wcets = [v.wcet for v in task.vertices]
         noncrit = task.vertex_non_critical_wcets()
@@ -451,7 +463,7 @@ class PathEnumerator:
         return PathEnumerationResult(
             resource_ids=resource_ids,
             lengths=np.array(lengths, dtype=float),
-            counts=_decode_counts(row_codes, shifts, masks, bits),
+            counts=_decode_counts(row_codes, shifts, masks),
             onpath_noncrit=np.array(onpath, dtype=float),
             exhaustive=True,
             total_paths_seen=total_paths,
@@ -476,10 +488,6 @@ class PathEnumerator:
         approx_count = task.dag.count_complete_paths(limit=self.max_paths + 1)
         if approx_count > self.max_paths:
             return self._truncated(task)
-        return self._walk(task, approx_count)
-
-    def _walk(self, task: DAGTask, approx_count: int) -> PathEnumerationResult:
-        """Depth-first walk over raw paths (count already known ≤ max_paths)."""
         profiles: Dict[Tuple, PathProfile] = {}
         exhaustive = True
         seen = 0
@@ -509,18 +517,20 @@ class PathEnumerator:
     def clear(self) -> None:
         """Drop all cached enumerations."""
         self._cache.clear()
+        self._walk_cache.clear()
 
     # The cache holds weak references and is inherently per-process; campaign
     # workers receive protocol objects (and their enumerators) via pickle, so
     # serialization ships the configuration and starts with an empty cache.
     def __getstate__(self):
         state = self.__dict__.copy()
-        del state["_cache"]
+        del state["_cache"], state["_walk_cache"]
         return state
 
     def __setstate__(self, state) -> None:
         self.__dict__.update(state)
-        self._cache = weakref.WeakKeyDictionary()
+        self._cache = _Cache()
+        self._walk_cache = _Cache()
 
 
 def critical_path_only(task: DAGTask) -> PathEnumerationResult:

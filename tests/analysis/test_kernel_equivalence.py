@@ -159,7 +159,8 @@ def test_per_path_and_en_bounds_agree_per_function():
     enumerator = PathEnumerator()
     for task in taskset:
         bound = task.deadline * 2
-        for profile in enumerator.enumerate(task).profiles[:5]:
+        # Vertex-bearing profiles: Lemma 5's on-path term needs the vertices.
+        for profile in enumerator.walk(task).profiles[:5]:
             a = path_wcrt(ctx_k, task, profile, bound, engine=ENGINE_KERNEL)
             b = path_wcrt(ctx_r, task, profile, bound, engine=ENGINE_REFERENCE)
             assert math.isinf(a) == math.isinf(b)
@@ -174,6 +175,20 @@ def test_per_path_and_en_bounds_agree_per_function():
             assert math.isinf(a) == math.isinf(b)
             if not math.isinf(a):
                 assert math.isclose(a, b, rel_tol=TOLERANCE, abs_tol=TOLERANCE)
+
+
+def test_per_path_bounds_reject_signature_rows():
+    """A DP signature row has no vertices, so Lemma 5 cannot be evaluated."""
+    built = build_partition(SMALL_CONFIG, 42)
+    assert built is not None
+    taskset, partition = built
+    task = max(taskset, key=lambda t: t.critical_path_length)
+    row = PathEnumerator().enumerate(task).profiles[0]
+    assert row.vertices == () and row.length > 0
+    for engine in (ENGINE_KERNEL, ENGINE_REFERENCE):
+        ctx = DpcpPContext(taskset, partition)
+        with pytest.raises(ValueError, match="no vertices"):
+            path_wcrt(ctx, task, row, task.deadline * 2, engine=engine)
 
 
 @pytest.mark.parametrize("factory", [DpcpPEpTest, DpcpPEnTest])

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import os
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,7 +20,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import paths
-from repro.analysis.dpcp_p import DpcpPEpTest
+from repro.analysis.dpcp_p import (
+    ENGINE_REFERENCE,
+    DpcpPEpTest,
+    path_wcrt,
+    task_wcrt_en,
+    task_wcrt_ep,
+)
+from repro.analysis.dpcp_p.context import DpcpPContext
 from repro.analysis.dpcp_p import kernel as kernel_module
 from repro.analysis.dpcp_p.partition import wfd_assign_resources
 from repro.analysis.paths import (
@@ -41,7 +47,7 @@ from repro.model import Platform
 from repro.model.dag import DAG
 from repro.model.platform import PartitionedSystem, minimal_federated_clusters
 from repro.model.resources import ResourceUsage
-from repro.model.task import DAGTask, Vertex
+from repro.model.task import DAGTask, TaskSet, Vertex
 from repro.obs import telemetry
 from repro.obs.profile import ComputeProfile, render_profile
 
@@ -184,9 +190,7 @@ def dag_tasks(draw):
 @settings(max_examples=80, deadline=None)
 @given(task=dag_tasks())
 def test_property_dp_arrays_equal_walk_signature_multiset(task):
-    # Force the DP on every size (it otherwise delegates ≤64-path DAGs).
-    with mock.patch.object(paths, "WALK_SHORTCUT_PATHS", 0):
-        dp = PathEnumerator(algorithm=ALGORITHM_DP).enumerate(task)
+    dp = PathEnumerator(algorithm=ALGORITHM_DP).enumerate(task)
     walk = PathEnumerator(algorithm=ALGORITHM_WALK).enumerate(task)
     assert dp.exhaustive and walk.exhaustive
     assert dp.total_paths_seen == walk.total_paths_seen
@@ -205,8 +209,7 @@ def test_property_dp_arrays_equal_walk_signature_multiset(task):
 @settings(max_examples=80, deadline=None)
 @given(task=dag_tasks())
 def test_property_onpath_noncrit_matches_walk_representatives(task):
-    with mock.patch.object(paths, "WALK_SHORTCUT_PATHS", 0):
-        dp = PathEnumerator(algorithm=ALGORITHM_DP).enumerate(task)
+    dp = PathEnumerator(algorithm=ALGORITHM_DP).enumerate(task)
     walk = PathEnumerator(algorithm=ALGORITHM_WALK).enumerate(task)
     noncrit = task.vertex_non_critical_wcets()
     by_signature = {p.signature(): p for p in walk.profiles}
@@ -251,6 +254,35 @@ def test_golden_covers_caps_below_at_and_above_the_signature_count():
         caps = {int(cap) for cap in record["caps"]}
         P = record["signatures"]
         assert {P - 1, P, P + 1} - {0} <= caps
+
+
+def test_reference_engine_takes_truncation_from_the_enumeration():
+    """The oracle follows the DP's cap trip even where the walk would not trip."""
+    task = dict(golden_tasks())["rounding-straddle"]
+    enumerator = PathEnumerator(max_signatures=11, max_paths=BIG)
+    assert not enumerator.enumerate(task).exhaustive
+    walk_only = PathEnumerator(max_signatures=11, max_paths=BIG, algorithm=ALGORITHM_WALK)
+    assert walk_only.enumerate(task).exhaustive
+    taskset = TaskSet([task])
+    platform = Platform(4)
+    clusters = minimal_federated_clusters(taskset, platform)
+    partition = PartitionedSystem(
+        taskset, platform, clusters, wfd_assign_resources(taskset, clusters).assignment
+    )
+    kernel = task_wcrt_ep(DpcpPContext(taskset, partition), task, enumerator)
+    reference = task_wcrt_ep(
+        DpcpPContext(taskset, partition), task, enumerator, engine=ENGINE_REFERENCE
+    )
+    en = task_wcrt_en(DpcpPContext(taskset, partition), task)
+    assert kernel == pytest.approx(reference, rel=1e-9) == pytest.approx(en, rel=1e-9)
+    # The walk's own EP bound is tighter, so following it would disagree.
+    ctx = DpcpPContext(taskset, partition)
+    walk_ep = max(
+        path_wcrt(ctx, task, profile, engine=ENGINE_REFERENCE)
+        for profile in enumerator.walk(task).profiles
+    )
+    assert walk_ep < en
+    assert enumerator.walk(task) is enumerator.walk(task)  # cached
 
 
 # --------------------------------------------------------------------------- #
