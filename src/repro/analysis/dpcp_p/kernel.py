@@ -242,38 +242,6 @@ def _build_ep_columns(
     )
 
 
-def _row_offpath(
-    lane: _TaskLane, n_g: List[int]
-) -> Tuple[Dict[int, float], Dict[int, bool]]:
-    """Own off-path workload and σ per used processor for one scalar row."""
-    off: Dict[int, float] = {}
-    sigma: Dict[int, bool] = {}
-    for k, entries in lane.g_by_proc.items():
-        total = 0.0
-        requested = False
-        for g, count, cs in entries:
-            on_path = n_g[g]
-            if on_path > 0:
-                requested = True
-            gap = count - on_path
-            if gap > 0:
-                total += gap * cs
-        off[k] = total
-        sigma[k] = requested
-    return off, sigma
-
-
-def _row_intra_block(
-    lane: _TaskLane, local_block: float, off: Dict[int, float], sigma: Dict[int, bool]
-) -> float:
-    """Lemma 4 for one scalar row: local blocking plus co-located off-path work."""
-    intra_block = local_block
-    for k in lane.use_procs:
-        if sigma[k]:
-            intra_block += off[k]
-    return intra_block
-
-
 class DpcpPKernel:
     """Precomputed DPCP-p analysis coefficients for one (taskset, partition).
 
@@ -538,7 +506,21 @@ class DpcpPKernel:
         """One signature row through the scalar fast path."""
         length, n_g, local_block, intra_interf = row
         static = lane.static
-        off, sigma = _row_offpath(lane, n_g)
+        # Own off-path workload and σ (any on-path request) per used processor.
+        off: Dict[int, float] = {}
+        sigma: Dict[int, bool] = {}
+        for k, entries in lane.g_by_proc.items():
+            total = 0.0
+            requested = False
+            for g, count, cs in entries:
+                on_path = n_g[g]
+                if on_path > 0:
+                    requested = True
+                gap = count - on_path
+                if gap > 0:
+                    total += gap * cs
+            off[k] = total
+            sigma[k] = requested
 
         # Lemma 2 windows and Lemma 3's per-request view ε.
         eps: Dict[int, float] = {}
@@ -550,12 +532,17 @@ class DpcpPKernel:
             gamma = self._window_scalar(lane, static.g_L[g] + off[k] + beta, k, bound)
             eps[k] = eps.get(k, 0.0) + n_path * (beta + gamma)
 
+        # Lemma 4: local blocking plus co-located off-path work.
+        intra_block = local_block
+        for k in lane.use_procs:
+            if sigma[k]:
+                intra_block += off[k]
         own_off_cluster = sum(off[k] for k in lane.cluster_use_procs)
         return self._theorem1_scalar(
             lane,
             length,
             eps,
-            _row_intra_block(lane, local_block, off, sigma),
+            intra_block,
             intra_interf,
             own_off_cluster,
             bound,

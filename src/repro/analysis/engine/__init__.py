@@ -45,9 +45,7 @@ from .tables import CompiledTask, CompiledTaskset, compile_taskset
 __all__ = [
     "CompiledTask",
     "CompiledTaskset",
-    "arena_capable",
     "compile_taskset",
-    "run_arena",
     "CONVERGED",
     "DIVERGED",
     "NO_CONVERGENCE",
@@ -65,19 +63,3 @@ __all__ = [
     "warn_no_convergence",
 ]
 
-
-def __getattr__(name: str):
-    """Lazily re-export the arena batching entry points.
-
-    :mod:`.arena` imports the protocol kernels (SPIN, LPP, DPCP-p), which in
-    turn import this package — an eager ``from .arena import …`` here would
-    be circular.  PEP 562 lazy attribute access defers the arena import to
-    first use, so callers (the campaign executor's batched strategy, the
-    service daemon's admission waves) can still spell it
-    ``repro.analysis.engine.run_arena``.
-    """
-    if name in ("arena_capable", "run_arena", "TasksetArena"):
-        from . import arena
-
-        return getattr(arena, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -252,9 +252,9 @@ def _decode_counts(
 def _longest_first(*rows: list) -> None:
     """Swap a longest row (first argmax of ``rows[0]``) to index 0, in place.
 
-    Consumers that probe row 0 alone (the scalar loop's early ``inf`` break,
-    the arena's critical-path probe) then probe the critical path.  The EP
-    bound is a maximum over rows, so the order never changes a result.
+    A consumer that probes row 0 first (the scalar EP loop's early ``inf``
+    break) then probes the critical path.  The EP bound is a maximum over
+    rows, so the order never changes a result.
     """
     lengths = rows[0]
     best = max(range(len(lengths)), key=lengths.__getitem__, default=0)

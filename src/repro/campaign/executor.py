@@ -296,59 +296,11 @@ def _needs_table_warmup(protocols: Sequence[SchedulabilityTest]) -> bool:
     )
 
 
-def _generate_sample(unit, generation_config, sample_rng, result, tel):
-    """Draw one task set, folding failures into ``result``; None on failure.
-
-    Single-sourced between the per-sample loop and the arena-batched
-    generation phase so both count ``generation_failures`` per sample and
-    time ``phase.generation`` identically.
-    """
-    try:
-        if tel is not None:
-            with tel.span("phase.generation"):
-                taskset = generate_taskset(
-                    unit.utilization, generation_config, sample_rng
-                )
-        else:
-            taskset = generate_taskset(
-                unit.utilization, generation_config, sample_rng
-            )
-    except GenerationError:
-        result.generation_failures += 1
-        if tel is not None:
-            tel.count("generation.failures")
-        return None
-    result.evaluated += 1
-    if tel is not None:
-        tel.count("generation.tasksets")
-    return taskset
-
-
-def _fold_verdict(result, test, verdict, on_accepted, tel) -> None:
-    """Count one verdict into ``result`` and run the acceptance hook.
-
-    The single place acceptance is tallied: the serial loop and the
-    batched fold both come through here, sample-major and in protocol
-    order, so acceptance counts and every ``on_accepted`` float fold are
-    identical by construction across batch sizes.
-    """
-    if not verdict.schedulable:
-        return
-    result.accepted[test.name] += 1
-    if on_accepted is not None:
-        if tel is not None:
-            with tel.span("phase.simulation"):
-                on_accepted(test, verdict)
-        else:
-            on_accepted(test, verdict)
-
-
 def _evaluate_samples(
     unit: WorkUnit,
     protocols: Sequence[SchedulabilityTest],
     result: UnitResult,
     on_accepted=None,
-    batch_size: Optional[int] = None,
 ) -> None:
     """The one generation/analysis loop behind both unit runners.
 
@@ -360,14 +312,6 @@ def _evaluate_samples(
     single-sourced is what makes the two modes' acceptance counts
     *identical by construction*, not merely by test.
 
-    ``batch_size`` selects the execution strategy, never the results:
-    ``None`` or ``1`` runs the per-sample reference loop below; any other
-    value routes through :func:`_evaluate_batched`, which drains the
-    unit's sample stream in chunks and solves each chunk's fixed points
-    arena-wide (see :mod:`repro.analysis.engine.arena`).  Verdicts,
-    acceptance counts, and ``on_accepted`` call order are identical by
-    construction across every batch size.
-
     With an active telemetry session the loop times its phases
     (``phase.generation``, ``phase.analysis``, ``phase.simulation``) and
     each protocol's share (``protocol.<name>``); the guard is one global
@@ -378,18 +322,25 @@ def _evaluate_samples(
     sample_rngs = spawn_rngs(ensure_rng(unit.seed), unit.samples_per_point)
     tel = _active_telemetry()
     needs_warm = _needs_table_warmup(protocols)
-    if batch_size is not None and batch_size != 1:
-        _evaluate_batched(
-            unit, protocols, result, on_accepted, batch_size,
-            platform, generation_config, sample_rngs, tel, needs_warm,
-        )
-        return
     for sample_rng in sample_rngs:
-        taskset = _generate_sample(
-            unit, generation_config, sample_rng, result, tel
-        )
-        if taskset is None:
+        try:
+            if tel is not None:
+                with tel.span("phase.generation"):
+                    taskset = generate_taskset(
+                        unit.utilization, generation_config, sample_rng
+                    )
+            else:
+                taskset = generate_taskset(
+                    unit.utilization, generation_config, sample_rng
+                )
+        except GenerationError:
+            result.generation_failures += 1
+            if tel is not None:
+                tel.count("generation.failures")
             continue
+        result.evaluated += 1
+        if tel is not None:
+            tel.count("generation.tasksets")
         if needs_warm:
             # Warm the shared analysis tables: every kernel-engine protocol
             # below reads the same (weak-keyed, dies-with-the-taskset)
@@ -401,81 +352,21 @@ def _evaluate_samples(
                     verdict = test.test(taskset, platform)
             else:
                 verdict = test.test(taskset, platform)
-            _fold_verdict(result, test, verdict, on_accepted, tel)
-
-
-def _evaluate_batched(
-    unit: WorkUnit,
-    protocols: Sequence[SchedulabilityTest],
-    result: UnitResult,
-    on_accepted,
-    batch_size: int,
-    platform: Platform,
-    generation_config,
-    sample_rngs,
-    tel,
-    needs_warm: bool,
-) -> None:
-    """Arena-batched strategy behind :func:`_evaluate_samples`.
-
-    Per chunk of ``batch_size`` samples (``<= 0`` means the whole unit):
-    generation first drains the chunk's sample stream — same RNG order,
-    failures still counted per sample — then every arena-capable protocol
-    runs arena-wide through :func:`repro.analysis.engine.arena.run_arena`
-    while the rest fall back to per-sample calls (counted under
-    ``arena.fallbacks``).  Verdicts are folded sample-major in protocol
-    order, replaying the per-sample loop's exact tally and
-    ``on_accepted`` sequence.
-    """
-    from ..analysis.engine.arena import arena_capable, run_arena
-
-    arena_tests = [test for test in protocols if arena_capable(test)]
-    fallback_tests = [test for test in protocols if not arena_capable(test)]
-    chunk = len(sample_rngs) if batch_size <= 0 else batch_size
-    for base in range(0, len(sample_rngs), chunk):
-        tasksets = []
-        for sample_rng in sample_rngs[base:base + chunk]:
-            taskset = _generate_sample(
-                unit, generation_config, sample_rng, result, tel
-            )
-            if taskset is None:
+            if not verdict.schedulable:
                 continue
-            if needs_warm:
-                compile_taskset(taskset)
-            tasksets.append(taskset)
-        if not tasksets:
-            continue
-        verdicts: Dict[str, List] = {}
-        if arena_tests:
-            if tel is not None:
-                with tel.span("phase.analysis"):
-                    verdicts.update(run_arena(tasksets, platform, arena_tests))
-            else:
-                verdicts.update(run_arena(tasksets, platform, arena_tests))
-        for test in fallback_tests:
-            if tel is not None:
-                tel.count("arena.fallbacks", len(tasksets))
-            column = []
-            for taskset in tasksets:
+            result.accepted[test.name] += 1
+            if on_accepted is not None:
                 if tel is not None:
-                    with tel.span("phase.analysis"), \
-                            tel.span(f"protocol.{test.name}"):
-                        column.append(test.test(taskset, platform))
+                    with tel.span("phase.simulation"):
+                        on_accepted(test, verdict)
                 else:
-                    column.append(test.test(taskset, platform))
-            verdicts[test.name] = column
-        for index in range(len(tasksets)):
-            for test in protocols:
-                _fold_verdict(
-                    result, test, verdicts[test.name][index], on_accepted, tel
-                )
+                    on_accepted(test, verdict)
 
 
 def execute_unit(
     unit: WorkUnit,
     protocols: Sequence[SchedulabilityTest],
     telemetry: bool = False,
-    batch_size: Optional[int] = None,
 ) -> UnitResult:
     """Execute one work unit: generate the samples and apply every protocol.
 
@@ -484,8 +375,6 @@ def execute_unit(
     With ``telemetry=True`` the unit runs inside its own
     :func:`repro.obs.telemetry.session` and its aggregated snapshot travels
     back in :attr:`UnitResult.telemetry` (never in the store record).
-    ``batch_size`` picks the evaluation strategy (see
-    :func:`_evaluate_samples`); results are identical across all values.
     """
     started = time.perf_counter()
     result = UnitResult(
@@ -497,10 +386,10 @@ def execute_unit(
     )
     if telemetry:
         with _telemetry_session() as tel:
-            _evaluate_samples(unit, protocols, result, batch_size=batch_size)
+            _evaluate_samples(unit, protocols, result)
             result.telemetry = tel.to_dict()
     else:
-        _evaluate_samples(unit, protocols, result, batch_size=batch_size)
+        _evaluate_samples(unit, protocols, result)
     result.elapsed_seconds = time.perf_counter() - started
     return result
 
@@ -510,7 +399,6 @@ def execute_simulation_unit(
     protocols: Sequence[SchedulabilityTest],
     sim_config: Optional[SimulationConfig] = None,
     telemetry: bool = False,
-    batch_size: Optional[int] = None,
 ) -> UnitResult:
     """Execute one *validation* work unit: analyze, then simulate acceptances.
 
@@ -554,16 +442,10 @@ def execute_simulation_unit(
 
     if telemetry:
         with _telemetry_session() as tel:
-            _evaluate_samples(
-                unit, protocols, result,
-                on_accepted=validate, batch_size=batch_size,
-            )
+            _evaluate_samples(unit, protocols, result, on_accepted=validate)
             result.telemetry = tel.to_dict()
     else:
-        _evaluate_samples(
-            unit, protocols, result,
-            on_accepted=validate, batch_size=batch_size,
-        )
+        _evaluate_samples(unit, protocols, result, on_accepted=validate)
     result.elapsed_seconds = time.perf_counter() - started
     return result
 
@@ -574,31 +456,21 @@ def execute_simulation_unit(
 UnitRunner = Callable[[WorkUnit, Sequence[SchedulabilityTest]], UnitResult]
 
 
-def plan_runner(
-    plan: CampaignPlan,
-    telemetry: bool = False,
-    batch_size: Optional[int] = None,
-) -> UnitRunner:
+def plan_runner(plan: CampaignPlan, telemetry: bool = False) -> UnitRunner:
     """The unit runner a plan's mode calls for (pickleable).
 
     ``telemetry=True`` makes every unit run inside its own telemetry
     session and carry its snapshot home in :attr:`UnitResult.telemetry`
     (a plain dict, so it pickles across the process-pool boundary).
-    ``batch_size`` selects the arena-batched evaluation strategy per unit
-    (see :func:`_evaluate_samples`); like ``workers``, it changes how the
-    campaign executes, never what it records.
     """
     if plan.mode == MODE_SIMULATE:
         return functools.partial(
             execute_simulation_unit,
             sim_config=plan.sim_config,
             telemetry=telemetry,
-            batch_size=batch_size,
         )
-    if telemetry or batch_size is not None:
-        return functools.partial(
-            execute_unit, telemetry=telemetry, batch_size=batch_size
-        )
+    if telemetry:
+        return functools.partial(execute_unit, telemetry=telemetry)
     return execute_unit
 
 

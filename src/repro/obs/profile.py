@@ -119,30 +119,6 @@ class ComputeProfile:
             for label in sorted(histogram, key=bucket_sort_key)
         ]
 
-    def arena_efficiency(self) -> "Optional[Dict[str, float]]":
-        """Batch-efficiency figures of the arena-batched runs, if any ran.
-
-        Returns ``None`` when no ``arena.*`` counters were recorded (the
-        campaign used the per-sample loop throughout); otherwise a dict
-        with the raw counters plus ``requests_per_solve`` — the
-        amortization the batching achieved (fixed points retired per
-        batched NumPy solve).
-        """
-        counters = self.telemetry.counters
-        tasksets = int(counters.get("arena.tasksets", 0))
-        solves = int(counters.get("arena.batch_solves", 0))
-        fallbacks = int(counters.get("arena.fallbacks", 0))
-        if not (tasksets or solves or fallbacks):
-            return None
-        requests = int(counters.get("arena.requests", 0))
-        return {
-            "tasksets": tasksets,
-            "batch_solves": solves,
-            "requests": requests,
-            "fallbacks": fallbacks,
-            "requests_per_solve": requests / solves if solves else 0.0,
-        }
-
     def ep_fidelity(self) -> "Optional[Dict[str, float]]":
         """How often EP path enumeration hit its cap, if any task was enumerated.
 
@@ -293,17 +269,6 @@ def render_profile(profile: ComputeProfile, top: int = 10) -> str:
         for label, count in histogram:
             share = 100.0 * count / total if total else 0.0
             lines.append(f"  {label:>7} iterations  {count:>8}  {share:5.1f}%")
-
-    arena = profile.arena_efficiency()
-    if arena is not None:
-        lines.append("")
-        lines.append("arena batching")
-        lines.append(f"  tasksets batched      {arena['tasksets']}")
-        lines.append(
-            f"  batched solves        {arena['batch_solves']}  "
-            f"({arena['requests_per_solve']:.1f} requests/solve)"
-        )
-        lines.append(f"  per-sample fallbacks  {arena['fallbacks']}")
 
     fidelity = profile.ep_fidelity()
     if fidelity is not None:

@@ -5,18 +5,15 @@ The :class:`JobManager` is the daemon's entire brain; the transport layer
 Two job kinds exist:
 
 * **Queries** (:class:`~repro.service.messages.SubmitQuery`) — one
-  scenario at one utilization point.  Admission is where the batching
-  economics of the engine arena pay off a second time: identical
-  submissions (same cache key over every result-determining field) are
-  *coalesced* into one execution whose single result answers every
-  subscribed client byte-identically, repeats of an already-answered query
-  are served straight from the result cache, and *distinct but compatible*
-  queries (same platform size, protocol suite, and path-signature cap)
-  that queue together are grouped into one shared **wave** — their task
-  sets concatenated into a single :func:`repro.analysis.engine.run_arena`
-  call, so the batched solver sweeps fixed points across all of them at
-  once.  Verdicts are identical-by-construction to per-query execution
-  (the arena's guarantee), so batching changes throughput, never results.
+  scenario at one utilization point, i.e. one campaign work unit.
+  Identical submissions (same cache key over every result-determining
+  field) are *coalesced* into one execution whose single result answers
+  every subscribed client byte-identically, and repeats of an
+  already-answered query are served straight from the result cache.
+  Every other query runs as its own pool task through
+  :func:`repro.campaign.executor.execute_unit` — the code path a CLI
+  campaign or shard takes for the same point — so a query's answer equals
+  that unit's record, and one failing query fails only its own job.
 
 * **Campaigns** (:class:`~repro.service.messages.SubmitCampaign`) — a full
   planned campaign backed by a durable :class:`~repro.campaign.store.
@@ -31,7 +28,7 @@ Two job kinds exist:
 
 Everything the manager observes goes through one lock-guarded
 :class:`~repro.obs.telemetry.Telemetry` bundle (``service.*`` counters:
-submissions, coalesce hits, cache hits, queue depth, wave widths) and the
+submissions, coalesce hits, cache hits, queue depth, execution times) and the
 service's ``events.jsonl`` (:class:`~repro.obs.events.JobAdmitted` /
 :class:`~repro.obs.events.JobFinished`), strictly out-of-band as always.
 """
@@ -46,11 +43,11 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from ..analysis.engine import ENGINE_KERNEL, compile_taskset
 from ..campaign.executor import (
     RetryPolicy,
     UnitResult,
     build_protocols,
+    execute_unit,
     execute_units,
     plan_runner,
 )
@@ -59,20 +56,17 @@ from ..campaign.planner import (
     WorkUnit,
     campaign_manifest,
     config_from_dict,
-    config_to_dict,
     plan_campaign,
     scenario_from_dict,
     scenario_to_dict,
 )
 from ..campaign.progress import ProgressTracker
 from ..campaign.store import CampaignStore
-from ..generation.randfixedsum import GenerationError
-from ..generation.taskset_gen import generate_taskset
-from ..model.platform import Platform
+# Unused here; perfbench/tracer.py requires this binding to exist.
+from ..generation.taskset_gen import generate_taskset  # noqa: F401
 from ..obs.events import Event, JobAdmitted, JobFinished
 from ..obs.log import get_logger
 from ..obs.telemetry import Telemetry
-from ..utils.rng import ensure_rng, spawn_rngs
 from .messages import (
     JobAccepted,
     JobStatus,
@@ -124,22 +118,6 @@ def query_cache_key(message: SubmitQuery) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def wave_group_key(message: SubmitQuery) -> Tuple:
-    """Grouping key of the admission wave a query can share.
-
-    Queries in one wave share a single :func:`run_arena` call, so they must
-    agree on everything that call fixes globally: the platform size and the
-    instantiated protocol suite (names + path-signature cap).  Scenario,
-    utilization, samples, and seed may all differ — that is the point.
-    """
-    scenario = dict(message.scenario)
-    return (
-        int(scenario.get("platform_size", 0)),
-        tuple(message.protocols),
-        int(message.max_path_signatures),
-    )
-
-
 def _query_unit(message: SubmitQuery) -> WorkUnit:
     """The work unit a query describes (validates the scenario dict)."""
     return WorkUnit(
@@ -151,86 +129,22 @@ def _query_unit(message: SubmitQuery) -> WorkUnit:
     )
 
 
-def evaluate_query_wave(
-    queries: List[SubmitQuery], telemetry: Optional[Telemetry] = None
-) -> List[UnitResult]:
-    """Evaluate one wave of compatible queries in a single arena pass.
+def evaluate_query_wave(queries: List[SubmitQuery]) -> List[UnitResult]:
+    """Evaluate queries one :func:`~repro.campaign.executor.execute_unit` call each.
 
-    Per query, the sample streams are spawned from its own seed exactly as
-    :func:`repro.campaign.executor.execute_unit` would (same RNG order,
-    generation failures counted per sample), so each query's acceptance
-    counts are bit-identical to a standalone execution.  All generated
-    task sets are then concatenated and every arena-capable protocol runs
-    once over the whole wave through
-    :func:`repro.analysis.engine.run_arena`; non-arena protocols fall back
-    to per-task-set calls.  ``telemetry`` (optional, caller-locked)
-    receives the wave width and arena-fallback counters.
+    Each query is the work unit :func:`_query_unit` describes, analysed by
+    its own protocol suite, so its acceptance counts equal a standalone
+    campaign run of that unit.  The daemon passes one query per call.
     """
-    if not queries:
-        return []
-    first = wave_group_key(queries[0])
-    if any(wave_group_key(query) != first for query in queries[1:]):
-        raise ValueError("queries of one wave must share a wave group key")
-    from ..analysis.engine import arena_capable, run_arena
-
-    tests = build_protocols(
-        list(queries[0].protocols), int(queries[0].max_path_signatures)
-    )
-    platform = Platform(int(first[0]))
-    needs_warm = any(
-        getattr(test, "engine", None) == ENGINE_KERNEL for test in tests
-    )
-    arena_tests = [test for test in tests if arena_capable(test)]
-    fallback_tests = [test for test in tests if not arena_capable(test)]
-
-    results: List[UnitResult] = []
-    spans: List[Tuple[int, int]] = []
-    tasksets = []
-    for query in queries:
-        unit = _query_unit(query)
-        result = UnitResult(
-            unit_id=f"{unit.scenario.scenario_id}:q",
-            scenario_id=unit.scenario.scenario_id,
-            point_index=0,
-            utilization=unit.utilization,
-            accepted={test.name: 0 for test in tests},
+    return [
+        execute_unit(
+            _query_unit(query),
+            build_protocols(
+                list(query.protocols), int(query.max_path_signatures)
+            ),
         )
-        generation_config = unit.scenario.generation_config()
-        start = len(tasksets)
-        for sample_rng in spawn_rngs(ensure_rng(unit.seed), unit.samples_per_point):
-            try:
-                taskset = generate_taskset(
-                    unit.utilization, generation_config, sample_rng
-                )
-            except GenerationError:
-                result.generation_failures += 1
-                continue
-            result.evaluated += 1
-            if needs_warm:
-                compile_taskset(taskset)
-            tasksets.append(taskset)
-        spans.append((start, len(tasksets)))
-        results.append(result)
-
-    verdicts: Dict[str, List] = {}
-    if tasksets:
-        if arena_tests:
-            verdicts.update(run_arena(tasksets, platform, arena_tests))
-        for test in fallback_tests:
-            if telemetry is not None:
-                telemetry.count("service.arena.fallbacks", len(tasksets))
-            verdicts[test.name] = [
-                test.test(taskset, platform) for taskset in tasksets
-            ]
-    for (start, end), result in zip(spans, results):
-        for index in range(start, end):
-            for test in tests:
-                if verdicts[test.name][index].schedulable:
-                    result.accepted[test.name] += 1
-    if telemetry is not None:
-        telemetry.record("service.wave.width", len(queries))
-        telemetry.count("service.wave.samples", len(tasksets))
-    return results
+        for query in queries
+    ]
 
 
 def query_result_payload(message: SubmitQuery, result: UnitResult) -> Dict[str, Any]:
@@ -376,7 +290,7 @@ class JobManager:
     def submit_query(
         self, message: SubmitQuery, listener: Optional[Listener] = None
     ) -> JobAccepted:
-        """Admit one query: coalesce, serve from cache, or enqueue a wave.
+        """Admit one query: coalesce, serve from cache, or enqueue it.
 
         Returns the :class:`JobAccepted` reply; for cache hits the
         :class:`ResultReady` is delivered to ``listener`` before this
@@ -553,12 +467,10 @@ class JobManager:
     # Execution
     # ------------------------------------------------------------------ #
     def _admission_loop(self) -> None:
-        """Drain the queue into waves: group compatible queries, dispatch.
+        """Drain the queue onto the worker pool, one task per query.
 
-        Runs on its own thread.  Everything queued at wake-up drains at
-        once, so queries that accumulate while a wave executes form the
-        next wave together — the longer the backlog, the wider (and more
-        arena-efficient) the wave.
+        Runs on its own thread.  Each query executes (and fails) alone, so
+        an exception in one query never touches another query's job.
         """
         while True:
             with self._wake:
@@ -570,31 +482,25 @@ class JobManager:
                 del self._queue[:]
                 for job, _ in batch:
                     job.state = STATE_RUNNING
-            groups: Dict[Tuple, List[Tuple[Job, SubmitQuery]]] = {}
             for job, query in batch:
-                groups.setdefault(wave_group_key(query), []).append((job, query))
-            for group in groups.values():
-                self._pool.submit(self._run_wave, group)
+                self._pool.submit(self._run_query, job, query)
 
-    def _run_wave(self, group: List[Tuple[Job, SubmitQuery]]) -> None:
-        """Execute one wave of compatible queries on a pool thread."""
-        queries = [query for _, query in group]
+    def _run_query(self, job: Job, query: SubmitQuery) -> None:
+        """Execute one query on a pool thread and settle its job."""
         started = time.perf_counter()
         try:
-            results = evaluate_query_wave(queries)
+            (result,) = evaluate_query_wave([query])
             with self._lock:
-                self._telemetry.record("service.wave.width", len(queries))
+                # The "wave" names are kept: perfbench/run.py reads them.
                 self._telemetry.observe(
                     "service.wave.seconds", time.perf_counter() - started
                 )
         except Exception as error:  # noqa: BLE001 - containment boundary
-            self._log.warning("query wave failed: %s", error)
-            for job, _ in group:
-                self._fail(job, type(error).__name__, str(error))
+            self._log.warning("query %s failed: %s", job.job_id, error)
+            self._fail(job, type(error).__name__, str(error))
             return
-        for (job, query), result in zip(group, results):
-            payload = query_result_payload(query, result)
-            self._finish(job, payload, exit_code=0, cache=True)
+        payload = query_result_payload(query, result)
+        self._finish(job, payload, exit_code=0, cache=True)
 
     def _run_campaign(
         self,
@@ -610,8 +516,7 @@ class JobManager:
             protocols = build_protocols(
                 plan.protocol_names, plan.config.max_path_signatures
             )
-            batch_size = int(message.batch_size) if message.batch_size else None
-            runner = plan_runner(plan, batch_size=batch_size)
+            runner = plan_runner(plan)
             with self._lock:
                 job.state = STATE_RUNNING
                 job.tracker = ProgressTracker(total=len(plan.units))

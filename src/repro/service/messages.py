@@ -238,8 +238,7 @@ class SubmitCampaign(Message):
     resubmitting an identical campaign *resumes* it — completed units are
     replayed from the store and quarantined units are retried (healed).
     ``workers`` selects the executor's process-pool width inside the job;
-    ``max_attempts`` its retry policy; ``batch_size`` the arena-batched
-    evaluation strategy (0 = whole unit per wave).
+    ``max_attempts`` its retry policy.
     """
 
     TYPE = "submit_campaign"
@@ -251,7 +250,6 @@ class SubmitCampaign(Message):
     mode: str = "analyze"
     workers: int = 1
     max_attempts: int = 3
-    batch_size: int = 0
 
     def __post_init__(self) -> None:
         object.__setattr__(

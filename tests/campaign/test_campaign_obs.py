@@ -86,25 +86,6 @@ def test_results_bytes_identical_with_telemetry_on_and_off(tmp_path, monkeypatch
     assert not os.path.exists(events_path(without))
 
 
-def test_results_bytes_identical_with_telemetry_on_and_off_batched(
-    tmp_path, monkeypatch
-):
-    """The arena-batched path honours the same out-of-band contract."""
-    _freeze_clocks(monkeypatch)
-    flags = [*RUN_FLAGS, "--batch-size", "0"]
-    with_events = str(tmp_path / "with")
-    without = str(tmp_path / "without")
-    assert cli.main(["run", "--store", with_events, *flags]) == 0
-    assert (
-        cli.main(["run", "--store", without, *flags, "--no-telemetry"]) == 0
-    )
-    assert _read_bytes(
-        os.path.join(with_events, "results.jsonl")
-    ) == _read_bytes(os.path.join(without, "results.jsonl"))
-    assert os.path.isfile(events_path(with_events))
-    assert not os.path.exists(events_path(without))
-
-
 def test_event_stream_covers_the_campaign_lifecycle(tmp_path):
     store = str(tmp_path / "store")
     assert cli.main(["run", "--store", store, *RUN_FLAGS]) == 0

@@ -79,10 +79,10 @@ def test_concurrent_identical_queries_coalesce_to_one_execution(
     executions = []
     real_wave = jobs.evaluate_query_wave
 
-    def gated_wave(queries, telemetry=None):
+    def gated_wave(queries):
         executions.append(len(queries))
         assert gate.wait(timeout=60.0), "test gate never released"
-        return real_wave(queries, telemetry)
+        return real_wave(queries)
 
     monkeypatch.setattr(jobs, "evaluate_query_wave", gated_wave)
 
@@ -152,10 +152,10 @@ def test_mid_job_disconnect_neither_kills_the_job_nor_leaks_a_worker(
     started = threading.Event()
     real_wave = jobs.evaluate_query_wave
 
-    def gated_wave(queries, telemetry=None):
+    def gated_wave(queries):
         started.set()
         assert gate.wait(timeout=60.0), "test gate never released"
-        return real_wave(queries, telemetry)
+        return real_wave(queries)
 
     monkeypatch.setattr(jobs, "evaluate_query_wave", gated_wave)
 
@@ -222,3 +222,53 @@ def test_soak_many_interleaved_submissions(daemon, connect, tiny_query):
     )
     assert total == 12
     assert manager.running_jobs() == 0
+
+
+def test_a_failing_query_fails_only_its_own_job(daemon, monkeypatch, tiny_query):
+    """Two queries drained from the queue together execute apart: one
+    raising fails its own job, the other still answers."""
+    manager = daemon.manager
+    submitter = threading.current_thread()
+    real_unit = jobs._query_unit
+
+    def poisoned_unit(message):
+        # Admission validates on the submitting thread; execution is the
+        # pool's, and only there does the poisoned seed raise.
+        if message.seed == 13 and threading.current_thread() is not submitter:
+            raise RuntimeError("poisoned query")
+        return real_unit(message)
+
+    monkeypatch.setattr(jobs, "_query_unit", poisoned_unit)
+
+    # Hold the admission thread inside its first dispatch so the next two
+    # queries queue up and drain in one batch.
+    real_submit = manager._pool.submit
+    dispatching = threading.Event()
+    release = threading.Event()
+
+    def gated_submit(fn, *args, **kwargs):
+        if not release.is_set():
+            dispatching.set()
+            assert release.wait(timeout=60.0), "test gate never released"
+        return real_submit(fn, *args, **kwargs)
+
+    monkeypatch.setattr(manager._pool, "submit", gated_submit)
+
+    warmup = manager.submit_query(tiny_query(seed=12))
+    assert dispatching.wait(timeout=60.0), "admission never dispatched"
+    bad_query, good_query = tiny_query(seed=13), tiny_query(seed=14)
+    bad = manager.submit_query(bad_query)
+    good = manager.submit_query(good_query)
+    release.set()
+
+    for accepted in (warmup, bad, good):
+        assert manager.wait(accepted.job_id, timeout=60.0)
+    failed = manager.status(bad.job_id)
+    assert failed.state == "failed"
+    assert failed.error_kind == "RuntimeError"
+    assert manager.status(warmup.job_id).state == "done"
+    assert manager.status(good.job_id).state == "done"
+    expected_accepted, expected_evaluated = _expected_payload(good_query)
+    result = manager.job(good.job_id).result
+    assert result["accepted"] == expected_accepted
+    assert result["evaluated"] == expected_evaluated

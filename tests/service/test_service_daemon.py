@@ -319,6 +319,35 @@ def test_docs_pin_the_generated_protocol_reference():
     )
 
 
+def test_v1_campaign_frame_with_the_retired_batch_size_field_still_runs(
+    daemon, tiny_campaign
+):
+    """``submit_campaign`` lost its ``batch_size`` field without a version
+    bump: an older v1 client that still sends it is decoded and served."""
+    frame = tiny_campaign(workers=1).to_frame()
+    assert "batch_size" not in frame
+    frame["batch_size"] = 0
+    assert frame["v"] == PROTOCOL_VERSION
+    assert isinstance(decode_frame(json.dumps(frame)), SubmitCampaign)
+
+    sock = socket.create_connection(daemon.address, timeout=120.0)
+    reader = sock.makefile("rb")
+    try:
+        sock.sendall(json.dumps(frame).encode() + b"\n")
+        while True:
+            line = reader.readline()
+            assert line, "daemon closed the connection"
+            reply = decode_frame(line)
+            assert not isinstance(reply, ErrorReply), reply
+            if isinstance(reply, ResultReady):
+                break
+    finally:
+        reader.close()
+        sock.close()
+    assert reply.exit_code == 0
+    assert reply.result["completed"] == reply.result["total"] == 4
+
+
 def test_service_cli_prints_the_protocol_reference(capsys):
     from repro.service.__main__ import main
 
