@@ -58,14 +58,16 @@ def test_bench_taskset_generation(benchmark, workload):
     benchmark(lambda: generate_taskset(6.0, config, rng=next(counter)))
 
 
-@pytest.mark.parametrize("algorithm", ["dp", "walk"])
-def test_bench_path_enumeration(benchmark, workload, algorithm):
+@pytest.mark.parametrize(
+    "method", [PathEnumerator.enumerate, PathEnumerator.walk], ids=["dp", "walk"]
+)
+def test_bench_path_enumeration(benchmark, workload, method):
     """Complete-path enumeration (signature DP vs the reference walk)."""
     _, taskset, _ = workload
 
     def enumerate_all():
-        enumerator = PathEnumerator(algorithm=algorithm)
-        return [enumerator.enumerate(task).profiles for task in taskset]
+        enumerator = PathEnumerator()
+        return [method(enumerator, task).profiles for task in taskset]
 
     benchmark(enumerate_all)
 

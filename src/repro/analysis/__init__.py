@@ -17,12 +17,11 @@ from .interfaces import (
     UNBOUNDED,
 )
 from .lpp import LppKernel, LppTest
-from .paths import PathEnumerator, PathEnumerationResult, critical_path_only
+from .paths import PathEnumerator, PathEnumerationResult
 from .rta import (
     FixedPointNoConvergence,
     ceil_div_jobs,
     least_fixed_point,
-    least_fixed_point_status,
 )
 from .spin import SpinKernel, SpinTest
 
@@ -59,10 +58,8 @@ __all__ = [
     "LppTest",
     "PathEnumerator",
     "PathEnumerationResult",
-    "critical_path_only",
     "ceil_div_jobs",
     "least_fixed_point",
-    "least_fixed_point_status",
     "FixedPointNoConvergence",
     "SpinTest",
     "default_protocols",

@@ -11,6 +11,11 @@ the quantities that recur throughout Sec. IV:
   a resource (Eq. (2)),
 * :math:`\\beta_{i,q}` — the single longest lower-priority critical section
   that can block a request under the priority-ceiling rule (Lemma 2).
+
+Only the straight-line reference analysis (:mod:`.wcrt`, :mod:`.blocking`,
+:mod:`.interference`) reads a context; the vectorized
+:class:`~repro.analysis.dpcp_p.kernel.DpcpPKernel` compiles its own
+coefficient tables and takes the carried-in bounds directly.
 """
 
 from __future__ import annotations
@@ -34,33 +39,6 @@ class DpcpPContext:
         self.taskset = taskset
         self.partition = partition
         self.response_times: Dict[int, float] = dict(response_times or {})
-        self._kernel = None
-
-    @property
-    def kernel(self):
-        """The vectorized analysis kernel for this (taskset, partition).
-
-        Built lazily on first access (or attached via :meth:`attach_kernel`)
-        and cached; the carried-in response-time bounds are re-synced from
-        :attr:`response_times` on every access, so direct mutation of that
-        dict between per-task analyses is safe.
-        """
-        if self._kernel is None:
-            from .kernel import DpcpPKernel
-
-            self._kernel = DpcpPKernel(self.taskset, self.partition)
-        self._kernel.sync_response_times(self.response_times)
-        return self._kernel
-
-    def attach_kernel(self, kernel) -> None:
-        """Use ``kernel`` (e.g. one sharing a static cache) for this context.
-
-        The kernel must have been built for this context's taskset and
-        partition; response times are still synced on every access.
-        """
-        if kernel.taskset is not self.taskset or kernel.partition is not self.partition:
-            raise ValueError("kernel was built for a different taskset/partition")
-        self._kernel = kernel
 
     # ------------------------------------------------------------------ #
     # Generic task quantities

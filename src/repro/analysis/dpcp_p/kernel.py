@@ -25,6 +25,10 @@ DPCP-p specific: they live in the protocol-agnostic
 LPP baseline kernels and across every protocol analysing the same task set.
 This module adds only the partition-dependent coefficients (per-task
 :class:`_TaskLane` slices) and the DPCP-p lemma structure on top.
+:class:`DpcpPKernel` fetches those shared tables with :func:`compile_taskset`
+itself, and :func:`.wcrt.analyze_taskset` (``engine="kernel"``) builds one
+kernel per partition outcome and calls it directly; the reference
+functions of :mod:`.wcrt` never reach it.
 
 **EP input.**  The EP bound reads a task's enumeration as arrays
 (:class:`~repro.analysis.paths.PathEnumerationResult`: path lengths, the
@@ -75,7 +79,7 @@ from ..engine.solver import (
     solve_scalar,
     warn_no_convergence,
 )
-from ..engine.tables import CompiledTask, CompiledTaskset, compile_taskset
+from ..engine.tables import CompiledTask, compile_taskset
 from ..paths import PathEnumerationResult, require_vertices
 
 #: Enumerations with at least this many signatures use the batched NumPy
@@ -85,30 +89,6 @@ BATCH_CUTOFF = 48
 
 _ceil = math.ceil
 _inf = math.inf
-
-
-class KernelStaticCache:
-    """Holds the shared task-static tables across partition retries.
-
-    Algorithm 1 re-partitions and re-analyses the same task set until it
-    converges; the per-vertex and per-resource task data never changes in
-    that loop, so :func:`~repro.analysis.dpcp_p.partition.partition_and_analyze`
-    threads one cache instance through every kernel it builds.
-
-    Since PR 3 the static data itself is the protocol-agnostic
-    :class:`~repro.analysis.engine.tables.CompiledTaskset` (also shared with
-    the SPIN/LPP kernels and across protocols of a campaign work unit); this
-    class remains as the explicit retry-sharing handle of the DPCP-p API.
-    """
-
-    def __init__(self) -> None:
-        self.owner: Optional[TaskSet] = None
-        self.tables: Optional[CompiledTaskset] = None
-
-    @property
-    def lanes(self) -> Dict[int, CompiledTask]:
-        """Task-static tables compiled so far (task id → tables)."""
-        return self.tables.task_tables if self.tables is not None else {}
 
 
 @dataclass
@@ -245,44 +225,27 @@ def _build_ep_columns(
 class DpcpPKernel:
     """Precomputed DPCP-p analysis coefficients for one (taskset, partition).
 
-    Build once per partition outcome (optionally sharing a
-    :class:`KernelStaticCache` across Algorithm 1 retries), then call
-    :meth:`task_wcrt_ep` / :meth:`task_wcrt_en` per task after
-    :meth:`sync_response_times` with the carried-in bounds — which
-    :class:`.context.DpcpPContext` does automatically on access.
+    Build once per partition outcome, then call :meth:`task_wcrt_ep` /
+    :meth:`task_wcrt_en` per task after :meth:`sync_response_times` with
+    the carried-in bounds, as :func:`.wcrt.analyze_taskset` does.  The
+    task-static tables come from :func:`compile_taskset`, whose per-task-set
+    memo shares them across Algorithm 1's retries.
     """
 
-    def __init__(
-        self,
-        taskset: TaskSet,
-        partition: PartitionedSystem,
-        static_cache: Optional[KernelStaticCache] = None,
-    ) -> None:
+    def __init__(self, taskset: TaskSet, partition: PartitionedSystem) -> None:
         self.taskset = taskset
         self.partition = partition
-        self._static = static_cache or KernelStaticCache()
-        if self._static.owner is not None and self._static.owner is not taskset:
-            raise ValueError(
-                "KernelStaticCache was populated for a different task set; "
-                "use one cache per task set"
-            )
-        self._static.owner = taskset
-        if self._static.tables is None:
-            self._static.tables = compile_taskset(taskset)
-        tables = self._static.tables
+        tables = compile_taskset(taskset)
         self.tables = tables
         self._tasks = tables.tasks
         self._index = tables.index
-        self._periods = tables.periods
         self._periods_list = tables.periods_list
         self._prios = tables.prios
         self._prios_list = tables.prios_list
-        self._usages = tables.usages
         # The carried-in η bounds live in the shared tables (synced in place,
         # so these references stay valid); reset them to the deadlines so a
         # freshly built kernel behaves like one built from scratch.
         tables.sync_response_times({})
-        self._carried = tables.carried
         self._carried_list = tables.carried_list
 
         n = len(self._tasks)
@@ -316,7 +279,6 @@ class DpcpPKernel:
         self._active_proc_list = sorted(
             {proc for proc in partition.resource_assignment.values()}
         )
-        self._local_resources = tables.local_resources
         self._lanes: Dict[int, _TaskLane] = {}
         self._ep_cache: Dict[int, _EpColumns] = tables.protocol_cache.setdefault(
             "dpcp_p.ep", {}
@@ -572,10 +534,6 @@ class DpcpPKernel:
     # ------------------------------------------------------------------ #
     # Batched NumPy path (large profile batches)
     # ------------------------------------------------------------------ #
-    def _eta(self, intervals: np.ndarray) -> np.ndarray:
-        """η_j(L) for every task (rows) over every interval (columns)."""
-        return self.tables.eta_matrix(intervals)
-
     def _request_windows(
         self,
         lane: _TaskLane,
@@ -602,14 +560,14 @@ class DpcpPKernel:
         full = const.shape[0]
 
         def step(cur: np.ndarray, idx: np.ndarray) -> np.ndarray:
-            eta = self._eta(cur)
+            eta = self.tables.eta_matrix(cur)
             cols = w_hp if idx.size == full else w_hp[:, idx]
             return const[idx] + (eta * cols).sum(axis=0)
 
         solved = solve_batched(const, step, bound)
         finite = np.isfinite(solved)
         if finite.any():
-            eta = self._eta(solved[finite])
+            eta = self.tables.eta_matrix(solved[finite])
             gamma[p_idx[finite], g_idx[finite]] = (eta * w_hp[:, finite]).sum(axis=0)
         gamma[p_idx[~finite], g_idx[~finite]] = _inf
         return gamma
@@ -645,7 +603,7 @@ class DpcpPKernel:
         start = lengths + intra_block + intra_interf / m_i
 
         def step(cur: np.ndarray, idx: np.ndarray) -> np.ndarray:
-            eta = self._eta(cur)
+            eta = self.tables.eta_matrix(cur)
             oth = eta * lane.other[:, None]  # (n, K)
             zeta = oth.T @ self._W_active    # (K, A)
             blocking = np.minimum(eps_active[idx], zeta).sum(axis=1)

@@ -25,7 +25,7 @@ from ...model.task import TaskSet
 from ...obs.telemetry import active as _active_telemetry
 from ..interfaces import SchedulabilityResult, TaskAnalysis, UNBOUNDED
 from ..paths import PathEnumerator
-from .wcrt import DEFAULT_ENGINE, ENGINE_KERNEL, MODE_EN, MODE_EP, analyze_taskset
+from .wcrt import DEFAULT_ENGINE, MODE_EN, MODE_EP, analyze_taskset
 
 
 @dataclass
@@ -105,11 +105,6 @@ def partition_and_analyze(
             reason="not enough processors for the minimal federated assignment",
         )
     enumerator = enumerator or PathEnumerator()
-    static_cache = None
-    if engine == ENGINE_KERNEL:
-        from .kernel import KernelStaticCache
-
-        static_cache = KernelStaticCache()
 
     while True:
         tel = _active_telemetry()
@@ -140,7 +135,6 @@ def partition_and_analyze(
             mode=mode,
             enumerator=enumerator,
             engine=engine,
-            static_cache=static_cache,
         )
 
         failing = _first_failing_task(taskset, analyses)

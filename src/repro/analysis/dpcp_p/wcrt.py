@@ -11,13 +11,15 @@ Two analysis variants are provided:
   sound for every path and therefore also serves as the fallback when path
   enumeration is truncated.
 
-Each bound can be computed by two interchangeable engines:
+Two engines compute the bounds, selected by :func:`analyze_taskset`'s
+``engine``:
 
-* ``engine="kernel"`` (default) — the vectorized
+* ``"kernel"`` (default) — the vectorized
   :class:`~repro.analysis.dpcp_p.kernel.DpcpPKernel`, which precomputes the
   interval-independent coefficients once per ``(taskset, partition)`` and
   batches all fixed points of a task into elementwise NumPy iterations.
-* ``engine="reference"`` — the original straight-line implementation built
+* ``"reference"`` — the straight-line functions of this module
+  (:func:`path_wcrt`, :func:`task_wcrt_ep`, :func:`task_wcrt_en`) built
   from :mod:`.context`, :mod:`.blocking` and :mod:`.interference`, kept as
   the correctness oracle the kernel is validated against.
 """
@@ -46,6 +48,7 @@ from .interference import (
     intra_task_interference,
     intra_task_interference_en,
 )
+from .kernel import DpcpPKernel
 
 #: Analysis modes.
 MODE_EP = "EP"
@@ -88,14 +91,21 @@ def _theorem1_fixed_point(
     return solution if solution is not None else math.inf
 
 
-def _path_wcrt_reference(
+def path_wcrt(
     ctx: DpcpPContext,
     task: DAGTask,
     profile: PathProfile,
-    divergence_bound: float,
+    divergence_bound: Optional[float] = None,
 ) -> float:
-    """Reference (straight-line) WCRT bound of one concrete path."""
+    """WCRT bound of one concrete path (EP building block).
+
+    ``profile`` must carry its vertices, as :meth:`DAGTask.path_profile` and
+    :meth:`PathEnumerator.walk` profiles do; a signature row of the DP's
+    lazy view (``vertices=()``) raises ``ValueError``.
+    """
     require_vertices(profile)
+    if divergence_bound is None:
+        divergence_bound = task.deadline
     n_lambda = profile.requests
     request_windows: Dict[int, float] = {}
     for rid, count in n_lambda.items():
@@ -117,10 +127,26 @@ def _path_wcrt_reference(
     )
 
 
-def _task_wcrt_en_reference(
-    ctx: DpcpPContext, task: DAGTask, divergence_bound: float
+def task_wcrt_en(
+    ctx: DpcpPContext,
+    task: DAGTask,
+    divergence_bound: Optional[float] = None,
 ) -> float:
-    """Reference (straight-line) EN-style WCRT bound."""
+    """EN-style WCRT bound (request counts of the path as free variables).
+
+    Every term of Theorem 1 is bounded by its worst admissible value over
+    :math:`N^\\lambda_{i,q} \\in [0, N_{i,q}]`:
+
+    * the path length by :math:`L^*_i`,
+    * the per-request blocking multiplier by :math:`N_{i,q}` and the windows
+      :math:`W_{i,q}` with the full intra-task request workload,
+    * the intra-task blocking by :math:`(N_{i,q}-1) L_{i,q}` for local
+      resources and the full request workload for co-located global ones,
+    * the intra-task interference by :math:`C_i - L^*_i`, and
+    * the own-agent interference by :math:`N_{i,q} L_{i,q}`.
+    """
+    if divergence_bound is None:
+        divergence_bound = task.deadline
     # Path requests maximised: every request may lie on the path...
     n_lambda_full: Dict[int, int] = {
         rid: task.request_count(rid) for rid in task.used_resources()
@@ -165,90 +191,37 @@ def _task_wcrt_en_reference(
     )
 
 
-def path_wcrt(
-    ctx: DpcpPContext,
-    task: DAGTask,
-    profile: PathProfile,
-    divergence_bound: Optional[float] = None,
-    engine: str = DEFAULT_ENGINE,
-) -> float:
-    """WCRT bound of one concrete path (EP building block).
-
-    ``profile`` must carry its vertices, as :meth:`DAGTask.path_profile` and
-    :meth:`PathEnumerator.walk` profiles do; a signature row of the DP's
-    lazy view (``vertices=()``) raises ``ValueError``.
-    """
-    _check_engine(engine)
-    if divergence_bound is None:
-        divergence_bound = task.deadline
-    if engine == ENGINE_KERNEL:
-        return ctx.kernel.path_wcrt(task, profile, divergence_bound)
-    return _path_wcrt_reference(ctx, task, profile, divergence_bound)
-
-
 def task_wcrt_ep(
     ctx: DpcpPContext,
     task: DAGTask,
     enumerator: PathEnumerator,
     divergence_bound: Optional[float] = None,
-    engine: str = DEFAULT_ENGINE,
 ) -> float:
     """Eq. (1): the task WCRT bound as the maximum over its complete paths.
 
     When the enumeration is truncated the EN bound is used as a sound
-    over-approximation of the missing paths.  Both engines take that
-    decision from :meth:`PathEnumerator.enumerate`.  The kernel reads its
-    signature arrays; the reference engine evaluates vertex-bearing
-    profiles — the walk's (:meth:`PathEnumerator.walk`) when the
-    enumeration is exhaustive, else the truncated enumeration's critical
-    path — so the oracle keeps computing Lemma 5 from real vertex sets.
+    over-approximation of the missing paths.  That decision comes from
+    :meth:`PathEnumerator.enumerate`, as in the kernel; the bounds are then
+    taken over vertex-bearing profiles — the walk's
+    (:meth:`PathEnumerator.walk`) when the enumeration is exhaustive, else
+    the truncated enumeration's critical path — so this oracle keeps
+    computing Lemma 5 from real vertex sets.
     """
-    _check_engine(engine)
     if divergence_bound is None:
         divergence_bound = task.deadline
     enumeration = enumerator.enumerate(task)
-    if engine == ENGINE_KERNEL:
-        return ctx.kernel.task_wcrt_ep(task, enumeration, divergence_bound)
     profiles = (
         enumerator.walk(task).profiles if enumeration.exhaustive
         else enumeration.profiles
     )
     worst = 0.0
     for profile in profiles:
-        bound = _path_wcrt_reference(ctx, task, profile, divergence_bound)
-        worst = max(worst, bound)
+        worst = max(worst, path_wcrt(ctx, task, profile, divergence_bound))
         if math.isinf(worst):
             return worst
     if not enumeration.exhaustive:
-        worst = max(worst, _task_wcrt_en_reference(ctx, task, divergence_bound))
+        worst = max(worst, task_wcrt_en(ctx, task, divergence_bound))
     return worst
-
-
-def task_wcrt_en(
-    ctx: DpcpPContext,
-    task: DAGTask,
-    divergence_bound: Optional[float] = None,
-    engine: str = DEFAULT_ENGINE,
-) -> float:
-    """EN-style WCRT bound (request counts of the path as free variables).
-
-    Every term of Theorem 1 is bounded by its worst admissible value over
-    :math:`N^\\lambda_{i,q} \\in [0, N_{i,q}]`:
-
-    * the path length by :math:`L^*_i`,
-    * the per-request blocking multiplier by :math:`N_{i,q}` and the windows
-      :math:`W_{i,q}` with the full intra-task request workload,
-    * the intra-task blocking by :math:`(N_{i,q}-1) L_{i,q}` for local
-      resources and the full request workload for co-located global ones,
-    * the intra-task interference by :math:`C_i - L^*_i`, and
-    * the own-agent interference by :math:`N_{i,q} L_{i,q}`.
-    """
-    _check_engine(engine)
-    if divergence_bound is None:
-        divergence_bound = task.deadline
-    if engine == ENGINE_KERNEL:
-        return ctx.kernel.task_wcrt_en(task, divergence_bound)
-    return _task_wcrt_en_reference(ctx, task, divergence_bound)
 
 
 def analyze_taskset(
@@ -258,7 +231,6 @@ def analyze_taskset(
     enumerator: Optional[PathEnumerator] = None,
     divergence_factor: float = 1.0,
     engine: str = DEFAULT_ENGINE,
-    static_cache=None,
 ) -> Dict[int, TaskAnalysis]:
     """Analyse all tasks of a partitioned system under DPCP-p.
 
@@ -279,35 +251,38 @@ def analyze_taskset(
         ``divergence_factor * deadline``; values slightly above 1.0 report
         (finite) over-deadline bounds instead of ``inf``.
     engine:
-        ``"kernel"`` (vectorized, default) or ``"reference"`` (straight-line
-        oracle).
-    static_cache:
-        Optional :class:`~repro.analysis.dpcp_p.kernel.KernelStaticCache`
-        shared across successive partition attempts (kernel engine only), so
-        task-static coefficients are compiled once per task set instead of
-        once per retry.
+        ``"kernel"`` (a :class:`DpcpPKernel`, default) or ``"reference"``
+        (this module's straight-line oracle).
     """
     if mode not in (MODE_EP, MODE_EN):
         raise ValueError(f"unknown analysis mode {mode!r}")
     _check_engine(engine)
     enumerator = enumerator or PathEnumerator()
-    ctx = DpcpPContext(taskset, partition)
-    if engine == ENGINE_KERNEL and static_cache is not None:
-        from .kernel import DpcpPKernel
-
-        ctx.attach_kernel(DpcpPKernel(taskset, partition, static_cache))
+    kernel = ctx = None
+    if engine == ENGINE_KERNEL:
+        kernel = DpcpPKernel(taskset, partition)
+        response_times: Dict[int, float] = {}
+    else:
+        ctx = DpcpPContext(taskset, partition)
+        response_times = ctx.response_times
     results: Dict[int, TaskAnalysis] = {}
     for task in taskset.by_priority(descending=True):
         bound = task.deadline * max(divergence_factor, 1.0)
-        if mode == MODE_EP:
-            wcrt = task_wcrt_ep(ctx, task, enumerator, bound, engine=engine)
+        if kernel is not None:
+            kernel.sync_response_times(response_times)
+            if mode == MODE_EP:
+                wcrt = kernel.task_wcrt_ep(task, enumerator.enumerate(task), bound)
+            else:
+                wcrt = kernel.task_wcrt_en(task, bound)
+        elif mode == MODE_EP:
+            wcrt = task_wcrt_ep(ctx, task, enumerator, bound)
         else:
-            wcrt = task_wcrt_en(ctx, task, bound, engine=engine)
+            wcrt = task_wcrt_en(ctx, task, bound)
         results[task.task_id] = TaskAnalysis(
             task_id=task.task_id,
             wcrt=wcrt,
             deadline=task.deadline,
             processors=partition.num_processors_of(task.task_id),
         )
-        ctx.response_times[task.task_id] = min(wcrt, task.deadline)
+        response_times[task.task_id] = min(wcrt, task.deadline)
     return results

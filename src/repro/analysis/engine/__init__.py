@@ -32,7 +32,6 @@ from .solver import (
     ENGINE_KERNEL,
     ENGINE_REFERENCE,
     ETA_GUARD,
-    FixedPointDiverged,
     FixedPointNoConvergence,
     NO_CONVERGENCE,
     check_engine,
@@ -55,7 +54,6 @@ __all__ = [
     "ENGINE_KERNEL",
     "ENGINE_REFERENCE",
     "ETA_GUARD",
-    "FixedPointDiverged",
     "FixedPointNoConvergence",
     "check_engine",
     "solve_batched",

@@ -61,10 +61,6 @@ def check_engine(engine: str) -> None:
         raise ValueError(f"unknown analysis engine {engine!r}")
 
 
-class FixedPointDiverged(RuntimeError):
-    """Raised internally when a recurrence exceeds its divergence bound."""
-
-
 class FixedPointNoConvergence(RuntimeWarning):
     """A fixed-point search hit its iteration cap without converging.
 

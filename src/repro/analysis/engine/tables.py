@@ -142,11 +142,6 @@ class CompiledTaskset:
     # ------------------------------------------------------------------ #
     # Per-task tables
     # ------------------------------------------------------------------ #
-    @property
-    def task_tables(self) -> Dict[int, CompiledTask]:
-        """Compiled per-task tables built so far (task id → tables)."""
-        return self._task_tables
-
     def table(self, task: DAGTask) -> CompiledTask:
         """The :class:`CompiledTask` tables of ``task`` (compiled lazily)."""
         tables = self._task_tables.get(task.task_id)

@@ -11,14 +11,14 @@ concerns are handled here:
   cap; when the cap is exceeded the result is flagged as *not exhaustive* and
   callers fall back to the (sound but more pessimistic) EN-style bound.
 
-The default enumeration algorithm is a dynamic program over analysis
+:meth:`PathEnumerator.enumerate` runs a dynamic program over analysis
 signatures: partial signatures are propagated along the DAG in topological
 order and deduplicated at every vertex, so the cost scales with the number
 of *distinct* signatures rather than with the (possibly exponential) number
 of raw paths — no path is ever walked individually.  The raw-path cap is
 enforced by the same capped O(V+E) counting pass the walk uses.  The
-original depth-first walk over raw paths is retained (``algorithm="walk"``)
-as a reference oracle.
+original depth-first walk over raw paths is retained as a reference oracle,
+reached only through :meth:`PathEnumerator.walk`.
 
 **Integer request codes.**  A path's per-resource request vector is one
 Python int with a fixed bit field per requested resource, each field wide
@@ -72,11 +72,6 @@ DEFAULT_MAX_SIGNATURES = 4096
 
 #: Default cap on the number of raw paths covered per task.
 DEFAULT_MAX_PATHS = 200_000
-
-#: Enumeration algorithms: the signature-space dynamic program (default) and
-#: the raw depth-first path walk kept as a reference oracle.
-ALGORITHM_DP = "dp"
-ALGORITHM_WALK = "walk"
 
 
 class PathEnumerationResult:
@@ -316,9 +311,9 @@ class PathEnumerator:
         Cap on distinct signatures retained per task.
     max_paths:
         Cap on raw paths covered per task.
-    algorithm:
-        ``"dp"`` (default) — the signature-space dynamic program, or
-        ``"walk"`` — the reference depth-first walk over raw paths.
+
+    :meth:`enumerate` runs the signature-space dynamic program;
+    :meth:`walk` runs the reference depth-first walk over raw paths.
 
     Results are cached per live task object (a ``WeakKeyDictionary``), so a
     cache entry can never outlive — or be aliased onto — its task: the former
@@ -333,15 +328,11 @@ class PathEnumerator:
         self,
         max_signatures: int = DEFAULT_MAX_SIGNATURES,
         max_paths: int = DEFAULT_MAX_PATHS,
-        algorithm: str = ALGORITHM_DP,
     ) -> None:
         if max_signatures < 1 or max_paths < 1:
             raise ValueError("enumeration caps must be positive")
-        if algorithm not in (ALGORITHM_DP, ALGORITHM_WALK):
-            raise ValueError(f"unknown enumeration algorithm {algorithm!r}")
         self.max_signatures = max_signatures
         self.max_paths = max_paths
-        self.algorithm = algorithm
         self._cache = _Cache()
         self._walk_cache = _Cache()
 
@@ -353,10 +344,7 @@ class PathEnumerator:
             if tel is not None:
                 tel.count("enumeration.cache.hits")
             return cached
-        if self.algorithm == ALGORITHM_DP:
-            result = self._enumerate_dp(task)
-        else:
-            result = self._enumerate_walk(task)
+        result = self._enumerate_dp(task)
         if tel is not None:
             tel.count("enumeration.cache.misses")
             tel.count("enumeration.signatures", len(result.lengths))
@@ -372,8 +360,6 @@ class PathEnumerator:
         reference analysis needs for Lemma 5.  Cached like
         :meth:`enumerate` but not counted: only the reference oracle calls it.
         """
-        if self.algorithm == ALGORITHM_WALK:
-            return self.enumerate(task)
         result = _cached(self._walk_cache, task)
         if result is None:
             result = self._enumerate_walk(task)
@@ -381,7 +367,7 @@ class PathEnumerator:
         return result
 
     # ------------------------------------------------------------------ #
-    # Signature-space dynamic program (default)
+    # Signature-space dynamic program
     # ------------------------------------------------------------------ #
     def _enumerate_dp(self, task: DAGTask) -> PathEnumerationResult:
         """Propagate deduplicated partial signatures in topological order.
@@ -532,11 +518,3 @@ class PathEnumerator:
         self._cache = _Cache()
         self._walk_cache = _Cache()
 
-
-def critical_path_only(task: DAGTask) -> PathEnumerationResult:
-    """A degenerate enumeration containing only the critical path.
-
-    Used by the EN-style analyses, which reason about the longest path and
-    treat the per-resource request counts as free variables.
-    """
-    return _from_profiles(task, [task.critical_path_profile()], False, 1)

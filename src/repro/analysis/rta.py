@@ -15,7 +15,7 @@ compiled protocol kernels — and this module keeps the historical scalar API
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional, Tuple
+from typing import Callable, Optional
 
 from .engine.solver import (
     CONVERGED,
@@ -24,7 +24,6 @@ from .engine.solver import (
     DIVERGED,
     ETA_GUARD,
     NO_CONVERGENCE,
-    FixedPointDiverged,
     FixedPointNoConvergence,
     solve_scalar,
     warn_no_convergence,
@@ -37,30 +36,10 @@ __all__ = [
     "DEFAULT_MAX_ITERATIONS",
     "DEFAULT_TOLERANCE",
     "ETA_GUARD",
-    "FixedPointDiverged",
     "FixedPointNoConvergence",
     "ceil_div_jobs",
     "least_fixed_point",
-    "least_fixed_point_status",
 ]
-
-
-def least_fixed_point_status(
-    recurrence: Callable[[float], float],
-    start: float,
-    divergence_bound: float,
-    tolerance: float = DEFAULT_TOLERANCE,
-    max_iterations: int = DEFAULT_MAX_ITERATIONS,
-) -> Tuple[Optional[float], str]:
-    """Like :func:`least_fixed_point`, but also reports *why* it stopped.
-
-    Returns ``(value, status)`` where ``status`` is :data:`CONVERGED` (and
-    ``value`` is the least fixed point), :data:`DIVERGED` (an iterate — or the
-    start value — exceeded ``divergence_bound``, or the recurrence produced
-    NaN), or :data:`NO_CONVERGENCE` (``max_iterations`` exhausted without
-    meeting the tolerance).  ``value`` is ``None`` for both failure statuses.
-    """
-    return solve_scalar(recurrence, start, divergence_bound, tolerance, max_iterations)
 
 
 def least_fixed_point(

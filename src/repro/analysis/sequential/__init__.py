@@ -1,7 +1,6 @@
 """Classic (sequential-task) DPCP analysis used for light tasks (Sec. VI)."""
 
 from .dpcp import (
-    SequentialDpcpKernel,
     SequentialModelError,
     SequentialSystem,
     SequentialTask,
@@ -11,7 +10,6 @@ from .dpcp import (
 )
 
 __all__ = [
-    "SequentialDpcpKernel",
     "SequentialModelError",
     "SequentialSystem",
     "SequentialTask",

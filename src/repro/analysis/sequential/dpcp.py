@@ -13,22 +13,8 @@ Protocol.  This module provides that substrate:
 It mirrors the structure of the DPCP-p analysis specialised to tasks whose
 "DAG" is a single vertex executing on a single processor.
 
-Two interchangeable engines compute the bounds, mirroring the protocol
-baselines (:mod:`repro.analysis.spin`, :mod:`repro.analysis.lpp`):
-
-* ``engine="kernel"`` (default) — :class:`SequentialDpcpKernel`, which
-  compiles the static blocking/interference coefficients of every task
-  (ceiling blocking, sparse higher-priority request columns, agent columns)
-  once per system and solves the recurrences with the shared
-  :func:`~repro.analysis.engine.solver.solve_scalar`;
-* ``engine="reference"`` — the straight-line functions below, kept as the
-  property-tested oracle (see
-  ``tests/analysis/test_sequential_engine_equivalence.py``).
-
-Unlike the DAG baselines there is no weak-keyed compile cache:
-:class:`SequentialSystem` is a plain mutable dataclass, so the kernel is
-compiled per :func:`analyze_sequential_system` call and its per-task lanes
-are reused across the priority-ordered sweep.
+The straight-line analysis below is the only engine; DESIGN.md ("No
+sequential kernel") records why no compiled kernel backs it.
 """
 
 from __future__ import annotations
@@ -37,18 +23,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from ..engine.solver import (
-    DEFAULT_ENGINE,
-    ENGINE_KERNEL,
-    ETA_GUARD,
-    NO_CONVERGENCE,
-    check_engine,
-    solve_scalar,
-    warn_no_convergence,
-)
 from ..rta import ceil_div_jobs, least_fixed_point
-
-_ceil = math.ceil
 
 
 class SequentialModelError(ValueError):
@@ -209,7 +184,7 @@ def partition_sequential_system(
 
 
 # --------------------------------------------------------------------------- #
-# Reference (straight-line) implementation — the property-tested oracle
+# Response-time analysis
 # --------------------------------------------------------------------------- #
 def _request_response_time(
     system: SequentialSystem,
@@ -253,28 +228,12 @@ def sequential_dpcp_wcrt(
     system: SequentialSystem,
     task: SequentialTask,
     response_times: Optional[Mapping[int, float]] = None,
-    engine: str = DEFAULT_ENGINE,
 ) -> float:
     """Response-time bound of a sequential task under the classic DPCP.
 
-    ``engine`` selects the compiled kernel (default) or the straight-line
-    reference oracle.  The kernel path compiles the whole system for this
-    one call — when bounding every task, use
-    :func:`analyze_sequential_system` (or :meth:`SequentialDpcpKernel.wcrt`
-    on a kernel you keep) so the compilation is shared.
+    ``response_times`` holds the bounds already known for other tasks;
+    tasks without one contribute with their deadline.
     """
-    check_engine(engine)
-    if engine == ENGINE_KERNEL:
-        return SequentialDpcpKernel(system).wcrt(task, dict(response_times or {}))
-    return _sequential_dpcp_wcrt_reference(system, task, response_times)
-
-
-def _sequential_dpcp_wcrt_reference(
-    system: SequentialSystem,
-    task: SequentialTask,
-    response_times: Optional[Mapping[int, float]] = None,
-) -> float:
-    """Straight-line WCRT bound (the oracle behind ``engine="reference"``)."""
     response_times = dict(response_times or {})
     processor = system.task_assignment[task.task_id]
 
@@ -321,191 +280,16 @@ def _sequential_dpcp_wcrt_reference(
     return solution if solution is not None else math.inf
 
 
-def analyze_sequential_system(
-    system: SequentialSystem, engine: str = DEFAULT_ENGINE
-) -> Dict[int, float]:
+def analyze_sequential_system(system: SequentialSystem) -> Dict[int, float]:
     """Bound the WCRT of every task of a partitioned sequential system.
 
     Tasks are analysed in decreasing priority order; the returned mapping
-    contains ``math.inf`` for tasks without a converging bound.  ``engine``
-    selects the compiled kernel (default, compiled once for the whole
-    sweep) or the straight-line reference oracle.
+    contains ``math.inf`` for tasks without a converging bound.
     """
-    check_engine(engine)
-    if engine == ENGINE_KERNEL:
-        return SequentialDpcpKernel(system).analyze()
     response_times: Dict[int, float] = {}
     results: Dict[int, float] = {}
     for task in sorted(system.tasks, key=lambda t: t.priority, reverse=True):
-        wcrt = _sequential_dpcp_wcrt_reference(system, task, response_times)
+        wcrt = sequential_dpcp_wcrt(system, task, response_times)
         results[task.task_id] = wcrt
         response_times[task.task_id] = min(wcrt, task.deadline)
     return results
-
-
-# --------------------------------------------------------------------------- #
-# Compiled kernel engine
-# --------------------------------------------------------------------------- #
-class _SequentialLane:
-    """Per-task compiled classic-DPCP coefficients.
-
-    Everything that does not depend on the carried-in response times is
-    folded here once: the ceiling-blocking constant and sparse
-    higher-priority request column of every global request, the local
-    preemption column, and the agent-interference column of the task's
-    processor.  Columns hold ``(task index, weight)`` pairs; at solve time
-    each contributes ``eta_j(window) * weight``.
-    """
-
-    __slots__ = ("non_critical", "deadline", "requests", "local_col", "agent_col")
-
-    def __init__(
-        self, system: SequentialSystem, task: SequentialTask, index: Dict[int, int]
-    ) -> None:
-        self.non_critical = task.non_critical_wcet
-        self.deadline = task.deadline
-        processor = system.task_assignment[task.task_id]
-
-        #: One entry per global request: ``(count, constant, column)`` where
-        #: ``constant`` is L_{i,q} plus the ceiling-blocking term beta and
-        #: ``column`` charges the co-located requests of higher-priority tasks.
-        self.requests: List[Tuple[int, float, List[Tuple[int, float]]]] = []
-        for rid, (count, _) in task.requests.items():
-            if count == 0 or rid not in system.resource_assignment:
-                continue
-            co_located = system.co_located_resources(rid)
-            beta = 0.0
-            for other in system.tasks:
-                if other.priority >= task.priority:
-                    continue
-                for co_rid in co_located:
-                    if other.request_count(co_rid) == 0:
-                        continue
-                    if system.resource_ceiling(co_rid) >= task.priority:
-                        beta = max(beta, other.cs_length(co_rid))
-            column: List[Tuple[int, float]] = []
-            for other in system.tasks:
-                if other.priority <= task.priority or other.task_id == task.task_id:
-                    continue
-                weight = sum(
-                    other.request_count(co_rid) * other.cs_length(co_rid)
-                    for co_rid in co_located
-                )
-                if weight > 0.0:
-                    column.append((index[other.task_id], weight))
-            self.requests.append((count, task.cs_length(rid) + beta, column))
-
-        #: Higher-priority tasks on the same processor preempt the task's
-        #: non-critical execution.
-        self.local_col: List[Tuple[int, float]] = []
-        for other in system.tasks_on(processor):
-            if other.task_id == task.task_id or other.priority <= task.priority:
-                continue
-            if other.non_critical_wcet > 0.0:
-                self.local_col.append((index[other.task_id], other.non_critical_wcet))
-
-        #: Agents hosted on the task's processor run other tasks' requests
-        #: with boosted priority — every other task interferes through them.
-        self.agent_col: List[Tuple[int, float]] = []
-        hosted = system.resources_on(processor)
-        for other in system.tasks:
-            if other.task_id == task.task_id:
-                continue
-            weight = sum(
-                other.request_count(rid) * other.cs_length(rid) for rid in hosted
-            )
-            if weight > 0.0:
-                self.agent_col.append((index[other.task_id], weight))
-
-
-class SequentialDpcpKernel:
-    """Compiled classic-DPCP analysis over one :class:`SequentialSystem`.
-
-    Matches :func:`sequential_dpcp_wcrt` bound-for-bound (property-tested
-    to 1e-9 — see ``tests/analysis/test_sequential_engine_equivalence.py``).
-    The system's static coefficients are compiled once; per-task lanes are
-    built lazily and reused across the priority-ordered sweep of
-    :meth:`analyze`.  The system must not be mutated while a kernel built
-    from it is in use.
-    """
-
-    def __init__(self, system: SequentialSystem) -> None:
-        self.system = system
-        self.index: Dict[int, int] = {
-            task.task_id: i for i, task in enumerate(system.tasks)
-        }
-        self.periods: List[float] = [task.period for task in system.tasks]
-        self.deadlines: List[float] = [task.deadline for task in system.tasks]
-        self._lanes: Dict[int, _SequentialLane] = {}
-
-    def _lane(self, task: SequentialTask) -> _SequentialLane:
-        lane = self._lanes.get(task.task_id)
-        if lane is None:
-            lane = _SequentialLane(self.system, task, self.index)
-            self._lanes[task.task_id] = lane
-        return lane
-
-    def _carried(self, response_times: Mapping[int, float]) -> List[float]:
-        """Carried-in response times per task index (deadline when unknown)."""
-        return [
-            response_times.get(task.task_id, task.deadline)
-            for task in self.system.tasks
-        ]
-
-    def _column_demand(
-        self, column: List[Tuple[int, float]], window: float, carried: List[float]
-    ) -> float:
-        """Evaluate ``sum(eta_j(window) * weight)`` over a sparse column."""
-        periods = self.periods
-        total = 0.0
-        for j, weight in column:
-            released = _ceil((window + carried[j]) / periods[j] - ETA_GUARD)
-            if released > 0:
-                total += released * weight
-        return total
-
-    def wcrt(
-        self, task: SequentialTask, response_times: Mapping[int, float]
-    ) -> float:
-        """Drop-in replacement for :func:`sequential_dpcp_wcrt` (kernel lane)."""
-        lane = self._lane(task)
-        carried = self._carried(response_times)
-
-        request_blocking = 0.0
-        for _count, constant, column in lane.requests:
-
-            def request_recurrence(window: float) -> float:
-                return constant + self._column_demand(column, window, carried)
-
-            solved, status = solve_scalar(request_recurrence, constant, lane.deadline)
-            if solved is None:
-                if status == NO_CONVERGENCE:
-                    warn_no_convergence(1, lane.deadline)
-                return math.inf
-            request_blocking += _count * solved
-
-        def recurrence(response: float) -> float:
-            return (
-                lane.non_critical
-                + request_blocking
-                + self._column_demand(lane.local_col, response, carried)
-                + self._column_demand(lane.agent_col, response, carried)
-            )
-
-        start = lane.non_critical + request_blocking
-        solved, status = solve_scalar(recurrence, start, lane.deadline)
-        if solved is None:
-            if status == NO_CONVERGENCE:
-                warn_no_convergence(1, lane.deadline)
-            return math.inf
-        return solved
-
-    def analyze(self) -> Dict[int, float]:
-        """Bound every task's WCRT (decreasing priority, carried-in bounds)."""
-        response_times: Dict[int, float] = {}
-        results: Dict[int, float] = {}
-        for task in sorted(self.system.tasks, key=lambda t: t.priority, reverse=True):
-            wcrt = self.wcrt(task, response_times)
-            results[task.task_id] = wcrt
-            response_times[task.task_id] = min(wcrt, task.deadline)
-        return results

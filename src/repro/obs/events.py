@@ -254,8 +254,8 @@ class JobAdmitted(Event):
     ``coalesced`` marks a submission folded into an identical in-flight
     job (one execution serves several clients); ``cached`` marks a repeat
     served straight from the result cache without any execution.
-    ``queue_depth`` is the admission-queue depth observed at submission —
-    the signal the coalescing batcher exists to exploit.
+    ``queue_depth`` counts the admitted query jobs that had not started
+    yet, observed at submission.
     """
 
     TYPE = "job_admitted"

@@ -10,7 +10,8 @@ Two job kinds exist:
   field) are *coalesced* into one execution whose single result answers
   every subscribed client byte-identically, and repeats of an
   already-answered query are served straight from the result cache.
-  Every other query runs as its own pool task through
+  Every other query is submitted to the worker pool at admission and runs
+  as its own pool task through
   :func:`repro.campaign.executor.execute_unit` — the code path a CLI
   campaign or shard takes for the same point — so a query's answer equals
   that unit's record, and one failing query fails only its own job.
@@ -28,7 +29,8 @@ Two job kinds exist:
 
 Everything the manager observes goes through one lock-guarded
 :class:`~repro.obs.telemetry.Telemetry` bundle (``service.*`` counters:
-submissions, coalesce hits, cache hits, queue depth, execution times) and the
+submissions, coalesce hits, cache hits, queue depth — admitted queries not
+yet started — and execution times) and the
 service's ``events.jsonl`` (:class:`~repro.obs.events.JobAdmitted` /
 :class:`~repro.obs.events.JobFinished`), strictly out-of-band as always.
 """
@@ -206,7 +208,7 @@ class Job:
 
 
 class JobManager:
-    """Admission queue, coalescing cache, and persistent worker pool.
+    """Admission, coalescing cache, and persistent worker pool.
 
     ``data_dir`` roots the durable state: campaign job stores live under
     ``<data_dir>/jobs/`` and (when ``events`` is given) service events go
@@ -228,21 +230,17 @@ class JobManager:
         self._events = events
         self._events_lock = threading.Lock()
         self._lock = threading.Lock()
-        self._wake = threading.Condition(self._lock)
         self._jobs: Dict[str, Job] = {}
         self._inflight: Dict[str, str] = {}
         self._cache: Dict[str, Tuple[Dict[str, Any], int]] = {}
-        self._queue: List[Tuple[Job, SubmitQuery]] = []
+        # Admitted query jobs that have not started yet.
+        self._pending_queries = 0
         self._telemetry = Telemetry()
         self._log = get_logger("service.jobs")
         self._closed = False
         self._pool = ThreadPoolExecutor(
             max_workers=self.workers, thread_name_prefix="repro-job"
         )
-        self._admission = threading.Thread(
-            target=self._admission_loop, name="repro-admission", daemon=True
-        )
-        self._admission.start()
 
     # ------------------------------------------------------------------ #
     # Observability plumbing
@@ -290,7 +288,7 @@ class JobManager:
     def submit_query(
         self, message: SubmitQuery, listener: Optional[Listener] = None
     ) -> JobAccepted:
-        """Admit one query: coalesce, serve from cache, or enqueue it.
+        """Admit one query: coalesce, serve from cache, or start it on the pool.
 
         Returns the :class:`JobAccepted` reply; for cache hits the
         :class:`ResultReady` is delivered to ``listener`` before this
@@ -335,14 +333,14 @@ class JobManager:
                         job.listeners.append(listener)
                     self._jobs[job_id] = job
                     self._inflight[key] = job_id
-                    self._queue.append((job, message))
+                    self._pending_queries += 1
                     self._telemetry.count("service.queries")
                     self._telemetry.record(
-                        "service.queue.depth", len(self._queue)
+                        "service.queue.depth", self._pending_queries
                     )
                     accepted = JobAccepted(job_id=job_id, kind=KIND_QUERY)
-                    self._wake.notify_all()
-            queue_depth = len(self._queue)
+                    self._pool.submit(self._run_query, job, message)
+            queue_depth = self._pending_queries
         self._emit(
             JobAdmitted(
                 job_id=job_id,
@@ -389,7 +387,6 @@ class JobManager:
                 accepted = JobAccepted(
                     job_id=job.job_id, kind=KIND_CAMPAIGN, coalesced=True
                 )
-                queue_depth = len(self._queue)
             else:
                 if self._closed:
                     raise RuntimeError("service is shutting down")
@@ -404,10 +401,10 @@ class JobManager:
                 self._inflight[key] = job_id
                 self._telemetry.count("service.campaigns")
                 accepted = JobAccepted(job_id=job_id, kind=KIND_CAMPAIGN)
-                queue_depth = len(self._queue)
                 self._pool.submit(
                     self._run_campaign, job, plan, manifest, message
                 )
+            queue_depth = self._pending_queries
         self._emit(
             JobAdmitted(
                 job_id=job_id,
@@ -466,27 +463,15 @@ class JobManager:
     # ------------------------------------------------------------------ #
     # Execution
     # ------------------------------------------------------------------ #
-    def _admission_loop(self) -> None:
-        """Drain the queue onto the worker pool, one task per query.
-
-        Runs on its own thread.  Each query executes (and fails) alone, so
-        an exception in one query never touches another query's job.
-        """
-        while True:
-            with self._wake:
-                while not self._queue and not self._closed:
-                    self._wake.wait()
-                if not self._queue and self._closed:
-                    return
-                batch = self._queue[:]
-                del self._queue[:]
-                for job, _ in batch:
-                    job.state = STATE_RUNNING
-            for job, query in batch:
-                self._pool.submit(self._run_query, job, query)
-
     def _run_query(self, job: Job, query: SubmitQuery) -> None:
-        """Execute one query on a pool thread and settle its job."""
+        """Execute one query on a pool thread and settle its job.
+
+        Each query is its own pool task, so an exception in one query never
+        touches another query's job.
+        """
+        with self._lock:
+            self._pending_queries -= 1
+            job.state = STATE_RUNNING
         started = time.perf_counter()
         try:
             (result,) = evaluate_query_wave([query])
@@ -665,6 +650,4 @@ class JobManager:
         """Stop admitting work and (optionally) wait for running jobs."""
         with self._lock:
             self._closed = True
-            self._wake.notify_all()
-        self._admission.join(timeout=5.0)
         self._pool.shutdown(wait=wait)

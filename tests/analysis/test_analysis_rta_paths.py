@@ -9,12 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.paths import (
-    ALGORITHM_DP,
-    ALGORITHM_WALK,
-    PathEnumerator,
-    critical_path_only,
-)
+from repro.analysis.engine.solver import solve_scalar
+from repro.analysis.paths import PathEnumerator
 from repro.analysis.rta import (
     CONVERGED,
     DIVERGED,
@@ -22,7 +18,6 @@ from repro.analysis.rta import (
     FixedPointNoConvergence,
     ceil_div_jobs,
     least_fixed_point,
-    least_fixed_point_status,
 )
 from repro.model.dag import DAG
 from repro.model.resources import ResourceUsage
@@ -62,17 +57,17 @@ def test_fixed_point_rejects_nan_and_inf():
 
 
 def test_fixed_point_status_distinguishes_outcomes():
-    value, status = least_fixed_point_status(lambda x: 5.0, 5.0, 100.0)
+    value, status = solve_scalar(lambda x: 5.0, 5.0, 100.0)
     assert status == CONVERGED and value == pytest.approx(5.0)
     # Diverged: the iterate crosses the bound.
-    value, status = least_fixed_point_status(lambda x: x + 1.0, 0.0, 50.0)
+    value, status = solve_scalar(lambda x: x + 1.0, 0.0, 50.0)
     assert (value, status) == (None, DIVERGED)
     # Diverged: the start already exceeds the bound, or the recurrence is NaN.
-    assert least_fixed_point_status(lambda x: x, 10.0, 5.0)[1] == DIVERGED
-    assert least_fixed_point_status(lambda x: float("nan"), 1.0, 10.0)[1] == DIVERGED
+    assert solve_scalar(lambda x: x, 10.0, 5.0)[1] == DIVERGED
+    assert solve_scalar(lambda x: float("nan"), 1.0, 10.0)[1] == DIVERGED
     # No convergence: creeps upward by more than the tolerance per step but
     # cannot reach the bound within the iteration cap.
-    value, status = least_fixed_point_status(lambda x: x + 3e-6, 0.0, 1.0)
+    value, status = solve_scalar(lambda x: x + 3e-6, 0.0, 1.0)
     assert (value, status) == (None, NO_CONVERGENCE)
 
 
@@ -195,14 +190,6 @@ def test_enumerator_rejects_bad_caps():
         PathEnumerator(max_paths=0)
 
 
-def test_critical_path_only_helper():
-    task = build_task_with_paths()
-    result = critical_path_only(task)
-    assert not result.exhaustive
-    assert len(result.profiles) == 1
-    assert result.profiles[0].length == pytest.approx(task.critical_path_length)
-
-
 def test_enumerated_profiles_match_task_quantities(small_taskset):
     enumerator = PathEnumerator()
     for task in small_taskset:
@@ -238,10 +225,9 @@ def build_layered_task(layers=6, width=2, distinct_weights=True):
 
 def test_dp_matches_walk_signatures(small_taskset):
     """The DP produces exactly the walk's signature set on generated tasks."""
-    dp = PathEnumerator(algorithm=ALGORITHM_DP)
-    walk = PathEnumerator(algorithm=ALGORITHM_WALK)
+    enumerator = PathEnumerator()
     for task in small_taskset:
-        a, b = dp.enumerate(task), walk.enumerate(task)
+        a, b = enumerator.enumerate(task), enumerator.walk(task)
         assert a.exhaustive == b.exhaustive
         assert a.total_paths_seen == b.total_paths_seen
         sig_a = sorted(p.signature() for p in a.profiles)
@@ -251,8 +237,8 @@ def test_dp_matches_walk_signatures(small_taskset):
 
 def test_dp_matches_walk_on_exponential_dag():
     task = build_layered_task(layers=8, width=2)  # 256 paths, 256 signatures
-    dp = PathEnumerator(algorithm=ALGORITHM_DP).enumerate(task)
-    walk = PathEnumerator(algorithm=ALGORITHM_WALK).enumerate(task)
+    enumerator = PathEnumerator()
+    dp, walk = enumerator.enumerate(task), enumerator.walk(task)
     assert dp.exhaustive and walk.exhaustive
     assert dp.total_paths_seen == walk.total_paths_seen == 256
     assert sorted(p.signature() for p in dp.profiles) == sorted(
@@ -267,7 +253,7 @@ def test_dp_scales_past_walk_path_cap():
     one signature per layer choice pattern — the DP visits each vertex once.
     """
     task = build_layered_task(layers=20, width=2, distinct_weights=False)
-    dp = PathEnumerator(algorithm=ALGORITHM_DP, max_paths=2_000_000).enumerate(task)
+    dp = PathEnumerator(max_paths=2_000_000).enumerate(task)
     assert dp.exhaustive
     assert dp.total_paths_seen == 2**20
     assert len(dp.profiles) == 1  # all paths are analysis-equivalent
@@ -276,7 +262,7 @@ def test_dp_scales_past_walk_path_cap():
 def test_walk_signature_cap_respected():
     """The walk keeps at most max_signatures profiles (off-by-one fixed)."""
     task = build_layered_task(layers=4, width=2)  # 16 paths, distinct lengths
-    result = PathEnumerator(algorithm=ALGORITHM_WALK, max_signatures=4).enumerate(task)
+    result = PathEnumerator(max_signatures=4).walk(task)
     assert not result.exhaustive
     assert len(result.profiles) == 4
 
@@ -301,8 +287,8 @@ def test_dp_dedups_at_signature_rounding_granularity():
         branch = i % 3 == 2 and i < n - 1  # second branch of each diamond
         vertices.append(Vertex(i, 0.3 + (1e-11 if branch else 0.0)))
     task = DAGTask(0, vertices, dag, period=10_000.0)  # 2**8 = 256 raw paths
-    dp = PathEnumerator(algorithm=ALGORITHM_DP, max_signatures=8).enumerate(task)
-    walk = PathEnumerator(algorithm=ALGORITHM_WALK, max_signatures=8).enumerate(task)
+    enumerator = PathEnumerator(max_signatures=8)
+    dp, walk = enumerator.enumerate(task), enumerator.walk(task)
     assert walk.exhaustive and len(walk.profiles) == 1
     assert dp.exhaustive and len(dp.profiles) == 1
     assert dp.profiles[0].signature() == walk.profiles[0].signature()
@@ -315,11 +301,6 @@ def test_dp_signature_cap_falls_back_non_exhaustive():
     result = PathEnumerator(max_signatures=4, max_paths=40_000).enumerate(task)
     assert not result.exhaustive
     assert result.profiles[0].length == pytest.approx(task.critical_path_length)
-
-
-def test_enumerator_rejects_bad_algorithm():
-    with pytest.raises(ValueError):
-        PathEnumerator(algorithm="bogus")
 
 
 # --------------------------------------------------------------------------- #
@@ -357,10 +338,12 @@ def test_enumerator_pickles_without_cache():
     """Campaign workers receive protocols (and enumerators) via pickle."""
     import pickle
 
-    enumerator = PathEnumerator(max_signatures=7, max_paths=99, algorithm=ALGORITHM_WALK)
+    enumerator = PathEnumerator(max_signatures=7, max_paths=99)
     task = build_task_with_paths()
     enumerator.enumerate(task)
+    enumerator.walk(task)
     clone = pickle.loads(pickle.dumps(enumerator))
-    assert (clone.max_signatures, clone.max_paths, clone.algorithm) == (7, 99, ALGORITHM_WALK)
-    assert len(clone._cache) == 0
+    assert (clone.max_signatures, clone.max_paths) == (7, 99)
+    assert len(clone._cache) == 0 and len(clone._walk_cache) == 0
     assert clone.enumerate(task).exhaustive
+    assert clone.walk(task).exhaustive

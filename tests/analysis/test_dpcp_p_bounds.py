@@ -29,6 +29,7 @@ from repro.analysis.dpcp_p.interference import (
     intra_task_interference_en,
     vertex_non_critical_wcet,
 )
+from repro.analysis.dpcp_p.kernel import DpcpPKernel
 from repro.analysis.dpcp_p.wcrt import path_wcrt, task_wcrt_en, task_wcrt_ep
 from repro.analysis.paths import PathEnumerator
 from repro.model.dag import DAG
@@ -254,24 +255,42 @@ def test_agent_interference(ctx, system):
 # --------------------------------------------------------------------------- #
 # Theorem 1 / Eq. (1)
 # --------------------------------------------------------------------------- #
+def engine_arms(ctx, system):
+    """``(path bound, EP bound)`` of the reference functions and of the kernel."""
+    kernel = DpcpPKernel(*system)
+    return {
+        "reference": (
+            lambda task, profile: path_wcrt(ctx, task, profile),
+            lambda task, enumerator: task_wcrt_ep(ctx, task, enumerator),
+        ),
+        "kernel": (
+            kernel.path_wcrt,
+            lambda task, enumerator: kernel.task_wcrt_ep(
+                task, enumerator.enumerate(task)
+            ),
+        ),
+    }
+
+
 def test_path_wcrt_hand_computed(ctx, system):
     taskset, _ = system
     task_a = taskset.task(0)
     profile = task_a.path_profile([0, 2])
     # r = 7 + B + 0 + (3 + I_A)/2 with B = 4 and I_A = 4 at the fixed point.
-    assert path_wcrt(ctx, task_a, profile) == pytest.approx(14.5)
+    for arm, (path_bound, _ep_bound) in engine_arms(ctx, system).items():
+        assert path_bound(task_a, profile) == pytest.approx(14.5), arm
 
 
 def test_task_wcrt_ep_takes_worst_path(ctx, system):
     taskset, _ = system
     task_a = taskset.task(0)
-    enumerator = PathEnumerator()
-    wcrt = task_wcrt_ep(ctx, task_a, enumerator)
-    per_path = [
-        path_wcrt(ctx, task_a, task_a.path_profile(vertices))
-        for vertices in task_a.dag.iter_complete_paths()
-    ]
-    assert wcrt == pytest.approx(max(per_path))
+    for arm, (path_bound, ep_bound) in engine_arms(ctx, system).items():
+        wcrt = ep_bound(task_a, PathEnumerator())
+        per_path = [
+            path_bound(task_a, task_a.path_profile(vertices))
+            for vertices in task_a.dag.iter_complete_paths()
+        ]
+        assert wcrt == pytest.approx(max(per_path)), arm
 
 
 def test_en_bound_not_tighter_than_ep(ctx, system):

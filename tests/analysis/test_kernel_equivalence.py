@@ -1,7 +1,8 @@
 """Kernel-vs-reference equivalence for the DPCP-p analyses.
 
-The vectorized kernel (`engine="kernel"`, the default) must reproduce the
-straight-line reference oracle (`engine="reference"`) bound-for-bound: the
+The vectorized kernel (:class:`DpcpPKernel`, `engine="kernel"`, the default)
+must reproduce the straight-line reference oracle (the module-level
+functions of `dpcp_p.wcrt`, `engine="reference"`) bound-for-bound: the
 property tests below generate random task sets and partitions across seeds
 and require agreement within 1e-9 (and identical schedulable verdicts).
 """
@@ -26,8 +27,9 @@ from repro.analysis.dpcp_p import (
     task_wcrt_ep,
 )
 from repro.analysis.dpcp_p.context import DpcpPContext
-from repro.analysis.dpcp_p.kernel import BATCH_CUTOFF, DpcpPKernel, KernelStaticCache
+from repro.analysis.dpcp_p.kernel import BATCH_CUTOFF, DpcpPKernel
 from repro.analysis.dpcp_p.partition import wfd_assign_resources
+from repro.analysis.engine.tables import compile_taskset
 from repro.analysis.paths import PathEnumerator
 from repro.generation import (
     DagGenerationConfig,
@@ -154,24 +156,25 @@ def test_per_path_and_en_bounds_agree_per_function():
     built = build_partition(SMALL_CONFIG, 42)
     assert built is not None
     taskset, partition = built
-    ctx_k = DpcpPContext(taskset, partition)
-    ctx_r = DpcpPContext(taskset, partition)
+    kernel = DpcpPKernel(taskset, partition)
+    ctx = DpcpPContext(taskset, partition)
     enumerator = PathEnumerator()
     for task in taskset:
         bound = task.deadline * 2
         # Vertex-bearing profiles: Lemma 5's on-path term needs the vertices.
         for profile in enumerator.walk(task).profiles[:5]:
-            a = path_wcrt(ctx_k, task, profile, bound, engine=ENGINE_KERNEL)
-            b = path_wcrt(ctx_r, task, profile, bound, engine=ENGINE_REFERENCE)
+            a = kernel.path_wcrt(task, profile, bound)
+            b = path_wcrt(ctx, task, profile, bound)
             assert math.isinf(a) == math.isinf(b)
             if not math.isinf(a):
                 assert math.isclose(a, b, rel_tol=TOLERANCE, abs_tol=TOLERANCE)
-        for fn in (
-            lambda c, e: task_wcrt_ep(c, task, enumerator, bound, engine=e),
-            lambda c, e: task_wcrt_en(c, task, bound, engine=e),
+        for a, b in (
+            (
+                kernel.task_wcrt_ep(task, enumerator.enumerate(task), bound),
+                task_wcrt_ep(ctx, task, enumerator, bound),
+            ),
+            (kernel.task_wcrt_en(task, bound), task_wcrt_en(ctx, task, bound)),
         ):
-            a = fn(ctx_k, ENGINE_KERNEL)
-            b = fn(ctx_r, ENGINE_REFERENCE)
             assert math.isinf(a) == math.isinf(b)
             if not math.isinf(a):
                 assert math.isclose(a, b, rel_tol=TOLERANCE, abs_tol=TOLERANCE)
@@ -185,10 +188,10 @@ def test_per_path_bounds_reject_signature_rows():
     task = max(taskset, key=lambda t: t.critical_path_length)
     row = PathEnumerator().enumerate(task).profiles[0]
     assert row.vertices == () and row.length > 0
-    for engine in (ENGINE_KERNEL, ENGINE_REFERENCE):
-        ctx = DpcpPContext(taskset, partition)
-        with pytest.raises(ValueError, match="no vertices"):
-            path_wcrt(ctx, task, row, task.deadline * 2, engine=engine)
+    with pytest.raises(ValueError, match="no vertices"):
+        DpcpPKernel(taskset, partition).path_wcrt(task, row, task.deadline * 2)
+    with pytest.raises(ValueError, match="no vertices"):
+        path_wcrt(DpcpPContext(taskset, partition), task, row, task.deadline * 2)
 
 
 @pytest.mark.parametrize("factory", [DpcpPEpTest, DpcpPEnTest])
@@ -212,25 +215,47 @@ def test_unknown_engine_rejected():
 
 
 # --------------------------------------------------------------------------- #
-# Static cache reuse across partition retries
+# Static tables shared across partition retries
 # --------------------------------------------------------------------------- #
 def test_static_cache_shared_across_kernels():
+    """Kernels of one task set (Algorithm 1's retries) share its compiled
+    tables, and sharing does not change a bound."""
     built = build_partition(SMALL_CONFIG, 42)
     assert built is not None
     taskset, partition = built
-    cache = KernelStaticCache()
-    k1 = DpcpPKernel(taskset, partition, cache)
+    enumerator = PathEnumerator()
+
+    def bounds(kernel):
+        return {
+            task.task_id: (
+                kernel.task_wcrt_ep(task, enumerator.enumerate(task)),
+                kernel.task_wcrt_en(task),
+            )
+            for task in taskset
+        }
+
+    k1 = DpcpPKernel(taskset, partition)
+    first = bounds(k1)
+    task_tables = {task.task_id: k1.tables.table(task) for task in taskset}
+    k2 = DpcpPKernel(taskset, partition)
+    assert k1.tables is k2.tables is compile_taskset(taskset)
     for task in taskset:
-        k1.task_wcrt_en(task)
-    lanes_after_first = dict(cache.lanes)
-    k2 = DpcpPKernel(taskset, partition, cache)
-    results_fresh = {
-        t.task_id: DpcpPKernel(taskset, partition).task_wcrt_en(t) for t in taskset
+        # The second kernel reused (not rebuilt) the per-task tables.
+        assert k2.tables.table(task) is task_tables[task.task_id]
+
+    # A fresh kernel over an identical, separately generated task set
+    # compiles its own tables and gives the same bounds.
+    fresh_taskset, fresh_partition = build_partition(SMALL_CONFIG, 42)
+    fresh = DpcpPKernel(fresh_taskset, fresh_partition)
+    assert fresh.tables is not k1.tables
+    expected = {
+        task.task_id: (
+            fresh.task_wcrt_ep(task, PathEnumerator().enumerate(task)),
+            fresh.task_wcrt_en(task),
+        )
+        for task in fresh_taskset
     }
-    for task in taskset:
-        assert k2.task_wcrt_en(task) == results_fresh[task.task_id]
-        # The second kernel reused (not rebuilt) the task-static slices.
-        assert cache.lanes[task.task_id] is lanes_after_first[task.task_id]
+    assert bounds(k2) == first == expected
 
 
 def test_kernel_respects_carried_response_times():
@@ -239,17 +264,17 @@ def test_kernel_respects_carried_response_times():
     assert built is not None
     taskset, partition = built
     tasks = taskset.by_priority(descending=True)
-    ctx_k = DpcpPContext(taskset, partition)
-    ctx_r = DpcpPContext(taskset, partition)
+    kernel = DpcpPKernel(taskset, partition)
+    ctx = DpcpPContext(taskset, partition)
     # Pretend the highest-priority task has a tiny response time: the kernel
-    # and reference must both see the change through the shared context dict.
+    # (after a sync) and the reference (through its context) must both see it.
     first = tasks[0]
-    ctx_k.response_times[first.task_id] = 1.0
-    ctx_r.response_times[first.task_id] = 1.0
+    ctx.response_times[first.task_id] = 1.0
+    kernel.sync_response_times(ctx.response_times)
     low = tasks[-1]
     bound = low.deadline * 2
-    a = task_wcrt_en(ctx_k, low, bound, engine=ENGINE_KERNEL)
-    b = task_wcrt_en(ctx_r, low, bound, engine=ENGINE_REFERENCE)
+    a = kernel.task_wcrt_en(low, bound)
+    b = task_wcrt_en(ctx, low, bound)
     assert math.isinf(a) == math.isinf(b)
     if not math.isinf(a):
         assert math.isclose(a, b, rel_tol=TOLERANCE, abs_tol=TOLERANCE)

@@ -124,18 +124,3 @@ def test_unknown_task_lookup_raises():
     with pytest.raises(SequentialModelError):
         system.task(99)
 
-
-def test_default_engine_matches_the_reference_oracle():
-    """The compiled default engine reproduces this file's oracle exactly.
-
-    The tests above pin the *reference* semantics; this one ties the
-    default (kernel) engine to them on the same handcrafted system, so a
-    kernel regression cannot hide behind the random-seed equivalence suite.
-    """
-    tasks = make_tasks()
-    system = partition_sequential_system(tasks, num_processors=3)
-    default = analyze_sequential_system(system)
-    oracle = analyze_sequential_system(system, engine="reference")
-    assert default.keys() == oracle.keys()
-    for task_id, wcrt in oracle.items():
-        assert default[task_id] == pytest.approx(wcrt, abs=1e-9)

@@ -21,7 +21,6 @@ from hypothesis import strategies as st
 
 from repro.analysis import paths
 from repro.analysis.dpcp_p import (
-    ENGINE_REFERENCE,
     DpcpPEpTest,
     path_wcrt,
     task_wcrt_en,
@@ -30,12 +29,7 @@ from repro.analysis.dpcp_p import (
 from repro.analysis.dpcp_p.context import DpcpPContext
 from repro.analysis.dpcp_p import kernel as kernel_module
 from repro.analysis.dpcp_p.partition import wfd_assign_resources
-from repro.analysis.paths import (
-    ALGORITHM_DP,
-    ALGORITHM_WALK,
-    PathEnumerator,
-    SignatureProfiles,
-)
+from repro.analysis.paths import PathEnumerator, SignatureProfiles
 from repro.generation import (
     DagGenerationConfig,
     GenerationError,
@@ -190,8 +184,8 @@ def dag_tasks(draw):
 @settings(max_examples=80, deadline=None)
 @given(task=dag_tasks())
 def test_property_dp_arrays_equal_walk_signature_multiset(task):
-    dp = PathEnumerator(algorithm=ALGORITHM_DP).enumerate(task)
-    walk = PathEnumerator(algorithm=ALGORITHM_WALK).enumerate(task)
+    enumerator = PathEnumerator()
+    dp, walk = enumerator.enumerate(task), enumerator.walk(task)
     assert dp.exhaustive and walk.exhaustive
     assert dp.total_paths_seen == walk.total_paths_seen
     assert dp.resource_ids == walk.resource_ids
@@ -209,8 +203,8 @@ def test_property_dp_arrays_equal_walk_signature_multiset(task):
 @settings(max_examples=80, deadline=None)
 @given(task=dag_tasks())
 def test_property_onpath_noncrit_matches_walk_representatives(task):
-    dp = PathEnumerator(algorithm=ALGORITHM_DP).enumerate(task)
-    walk = PathEnumerator(algorithm=ALGORITHM_WALK).enumerate(task)
+    enumerator = PathEnumerator()
+    dp, walk = enumerator.enumerate(task), enumerator.walk(task)
     noncrit = task.vertex_non_critical_wcets()
     by_signature = {p.signature(): p for p in walk.profiles}
     for row, profile in enumerate(dp.profiles):
@@ -261,25 +255,23 @@ def test_reference_engine_takes_truncation_from_the_enumeration():
     task = dict(golden_tasks())["rounding-straddle"]
     enumerator = PathEnumerator(max_signatures=11, max_paths=BIG)
     assert not enumerator.enumerate(task).exhaustive
-    walk_only = PathEnumerator(max_signatures=11, max_paths=BIG, algorithm=ALGORITHM_WALK)
-    assert walk_only.enumerate(task).exhaustive
+    assert enumerator.walk(task).exhaustive
     taskset = TaskSet([task])
     platform = Platform(4)
     clusters = minimal_federated_clusters(taskset, platform)
     partition = PartitionedSystem(
         taskset, platform, clusters, wfd_assign_resources(taskset, clusters).assignment
     )
-    kernel = task_wcrt_ep(DpcpPContext(taskset, partition), task, enumerator)
-    reference = task_wcrt_ep(
-        DpcpPContext(taskset, partition), task, enumerator, engine=ENGINE_REFERENCE
+    kernel = kernel_module.DpcpPKernel(taskset, partition).task_wcrt_ep(
+        task, enumerator.enumerate(task)
     )
-    en = task_wcrt_en(DpcpPContext(taskset, partition), task)
+    ctx = DpcpPContext(taskset, partition)
+    reference = task_wcrt_ep(ctx, task, enumerator)
+    en = task_wcrt_en(ctx, task)
     assert kernel == pytest.approx(reference, rel=1e-9) == pytest.approx(en, rel=1e-9)
     # The walk's own EP bound is tighter, so following it would disagree.
-    ctx = DpcpPContext(taskset, partition)
     walk_ep = max(
-        path_wcrt(ctx, task, profile, engine=ENGINE_REFERENCE)
-        for profile in enumerator.walk(task).profiles
+        path_wcrt(ctx, task, profile) for profile in enumerator.walk(task).profiles
     )
     assert walk_ep < en
     assert enumerator.walk(task) is enumerator.walk(task)  # cached
@@ -305,8 +297,8 @@ def test_wide_request_codes_decode_without_int64_overflow():
     resource_ids, totals = paths._requested_resources(task)
     shifts, _masks, bits = paths._code_layout(totals)
     assert bits > 63
-    dp = PathEnumerator(algorithm=ALGORITHM_DP).enumerate(task)
-    walk = PathEnumerator(algorithm=ALGORITHM_WALK).enumerate(task)
+    enumerator = PathEnumerator()
+    dp, walk = enumerator.enumerate(task), enumerator.walk(task)
     assert dp.exhaustive and isinstance(dp.profiles, SignatureProfiles)
     assert _signature_keys(dp) == _signature_keys(walk)
     codes = [

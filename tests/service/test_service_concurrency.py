@@ -8,6 +8,7 @@ import threading
 from repro.campaign.executor import build_protocols, execute_unit
 from repro.campaign.planner import scenario_from_dict
 from repro.campaign.planner import WorkUnit
+from repro.obs.events import JobAdmitted
 from repro.service import ServiceClient, jobs
 from repro.service.messages import JobAccepted, ResultReady
 
@@ -225,8 +226,8 @@ def test_soak_many_interleaved_submissions(daemon, connect, tiny_query):
 
 
 def test_a_failing_query_fails_only_its_own_job(daemon, monkeypatch, tiny_query):
-    """Two queries drained from the queue together execute apart: one
-    raising fails its own job, the other still answers."""
+    """Two queries in flight together execute apart: one raising fails its
+    own job, the other still answers."""
     manager = daemon.manager
     submitter = threading.current_thread()
     real_unit = jobs._query_unit
@@ -240,26 +241,23 @@ def test_a_failing_query_fails_only_its_own_job(daemon, monkeypatch, tiny_query)
 
     monkeypatch.setattr(jobs, "_query_unit", poisoned_unit)
 
-    # Hold the admission thread inside its first dispatch so the next two
-    # queries queue up and drain in one batch.
-    real_submit = manager._pool.submit
-    dispatching = threading.Event()
-    release = threading.Event()
-
-    def gated_submit(fn, *args, **kwargs):
-        if not release.is_set():
-            dispatching.set()
-            assert release.wait(timeout=60.0), "test gate never released"
-        return real_submit(fn, *args, **kwargs)
-
-    monkeypatch.setattr(manager._pool, "submit", gated_submit)
-
     warmup = manager.submit_query(tiny_query(seed=12))
-    assert dispatching.wait(timeout=60.0), "admission never dispatched"
+    assert manager.wait(warmup.job_id, timeout=60.0)
+
+    # Hold both queries at the start of their execution until the other has
+    # started too, so the poisoned and the good query are in flight together
+    # on the two pool threads.
+    both_running = threading.Barrier(2, timeout=60.0)
+    real_wave = jobs.evaluate_query_wave
+
+    def gated_wave(queries):
+        both_running.wait()
+        return real_wave(queries)
+
+    monkeypatch.setattr(jobs, "evaluate_query_wave", gated_wave)
     bad_query, good_query = tiny_query(seed=13), tiny_query(seed=14)
     bad = manager.submit_query(bad_query)
     good = manager.submit_query(good_query)
-    release.set()
 
     for accepted in (warmup, bad, good):
         assert manager.wait(accepted.job_id, timeout=60.0)
@@ -272,3 +270,53 @@ def test_a_failing_query_fails_only_its_own_job(daemon, monkeypatch, tiny_query)
     result = manager.job(good.job_id).result
     assert result["accepted"] == expected_accepted
     assert result["evaluated"] == expected_evaluated
+
+
+def test_queue_depth_counts_admitted_queries_not_yet_started(
+    daemon, monkeypatch, tiny_query
+):
+    """With both pool threads busy, a new query waits as ``queued`` and is
+    admitted at depth 1: the depth counts admitted queries not yet started."""
+    manager = daemon.manager
+    gate = threading.Event()
+    real_wave = jobs.evaluate_query_wave
+
+    def gated_wave(queries):
+        assert gate.wait(timeout=60.0), "test gate never released"
+        return real_wave(queries)
+
+    monkeypatch.setattr(jobs, "evaluate_query_wave", gated_wave)
+    admitted = []
+    real_emit = manager._emit
+
+    def recording_emit(event):
+        if isinstance(event, JobAdmitted):
+            admitted.append(event)
+        real_emit(event)
+
+    monkeypatch.setattr(manager, "_emit", recording_emit)
+
+    busy = [manager.submit_query(tiny_query(seed=seed)) for seed in (70, 71)]
+    pause = threading.Event()
+    for _ in range(600):
+        if all(manager.status(a.job_id).state == "running" for a in busy):
+            break
+        pause.wait(0.01)
+    else:
+        raise AssertionError("the two queries never started")
+    waiting = manager.submit_query(tiny_query(seed=72))
+    assert manager.status(waiting.job_id).state == "queued"
+    gate.set()
+
+    for accepted in (*busy, waiting):
+        assert manager.wait(accepted.job_id, timeout=60.0)
+        assert manager.status(accepted.job_id).state == "done"
+    assert admitted[0].queue_depth == 1
+    assert admitted[2].job_id == waiting.job_id
+    assert admitted[2].queue_depth == 1
+    # Every started query left the count: on an idle pool the next
+    # admission sees only itself.
+    idle = manager.submit_query(tiny_query(seed=73))
+    assert admitted[3].job_id == idle.job_id
+    assert admitted[3].queue_depth == 1
+    assert manager.wait(idle.job_id, timeout=60.0)
