@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from ...model.platform import (
     Cluster,
@@ -23,9 +23,9 @@ from ...model.platform import (
 )
 from ...model.task import TaskSet
 from ...obs.telemetry import active as _active_telemetry
-from ..interfaces import SchedulabilityResult, TaskAnalysis, UNBOUNDED
+from ..interfaces import SchedulabilityResult, TaskAnalysis
 from ..paths import PathEnumerator
-from .wcrt import DEFAULT_ENGINE, MODE_EN, MODE_EP, analyze_taskset
+from .wcrt import DEFAULT_ENGINE, MODE_EN, MODE_EP, _iter_task_analyses
 
 
 @dataclass
@@ -93,8 +93,11 @@ def partition_and_analyze(
 ) -> SchedulabilityResult:
     """Algorithm 1: iterative task/resource partitioning plus analysis.
 
-    Returns the full schedulability verdict including the final partition and
-    per-task WCRT bounds.
+    Returns the schedulability verdict with the final partition and the
+    per-task WCRT bounds of the last pass.  Each pass stops at the first
+    task, in decreasing priority order, that misses its deadline, so an
+    accepted result bounds every task while an unschedulable one carries
+    the priority-ordered prefix of bounds ending at the failing task.
     """
     name = f"{protocol_name}-{mode}"
     clusters = minimal_federated_clusters(taskset, platform)
@@ -129,15 +132,18 @@ def partition_and_analyze(
                 reason=f"WFD resource assignment infeasible: {wfd.reason}",
             )
         partition = PartitionedSystem(taskset, platform, clusters, wfd.assignment)
-        analyses = analyze_taskset(
-            taskset,
-            partition,
-            mode=mode,
-            enumerator=enumerator,
-            engine=engine,
-        )
-
-        failing = _first_failing_task(taskset, analyses)
+        # A failed pass decides only which task gets the next processor: the
+        # highest-priority miss.  Lower-priority bounds cannot change that
+        # (each bound reads only higher-priority ones), so stop there.
+        analyses: Dict[int, TaskAnalysis] = {}
+        failing: Optional[int] = None
+        for analysis in _iter_task_analyses(
+            taskset, partition, mode=mode, enumerator=enumerator, engine=engine
+        ):
+            analyses[analysis.task_id] = analysis
+            if not analysis.schedulable:
+                failing = analysis.task_id
+                break
         if failing is None:
             return SchedulabilityResult(
                 schedulable=True,
@@ -161,14 +167,3 @@ def partition_and_analyze(
         # Give one more processor to the failing task, roll back the resource
         # assignment (a fresh WFD pass runs at the top of the loop), and retry.
         clusters[failing].processors.append(unassigned[0])
-
-
-def _first_failing_task(
-    taskset: TaskSet, analyses: Dict[int, TaskAnalysis]
-) -> Optional[int]:
-    """First task, in decreasing priority order, whose WCRT exceeds its deadline."""
-    for task in taskset.by_priority(descending=True):
-        analysis = analyses.get(task.task_id)
-        if analysis is None or analysis.wcrt == UNBOUNDED or not analysis.schedulable:
-            return task.task_id
-    return None

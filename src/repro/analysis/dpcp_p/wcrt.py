@@ -27,11 +27,12 @@ Two engines compute the bounds, selected by :func:`analyze_taskset`'s
 from __future__ import annotations
 
 import math
-from typing import Dict, Mapping, Optional
+from typing import Dict, Iterator, Mapping, Optional
 
 from ...model.dag import PathProfile
 from ...model.task import DAGTask, TaskSet
 from ...model.platform import PartitionedSystem
+from ...obs.telemetry import active as _active_telemetry
 from ..engine.solver import (
     DEFAULT_ENGINE,
     ENGINE_KERNEL,
@@ -237,6 +238,9 @@ def analyze_taskset(
     Tasks are processed in decreasing priority order so that higher-priority
     response times feed the :math:`\\eta_j` bounds of lower-priority tasks;
     tasks whose bound is not yet available contribute with their deadline.
+    Every task gets a bound, schedulable or not; Algorithm 1
+    (:func:`.partition.partition_and_analyze`) instead stops each pass at
+    the first deadline miss.
 
     Parameters
     ----------
@@ -254,6 +258,30 @@ def analyze_taskset(
         ``"kernel"`` (a :class:`DpcpPKernel`, default) or ``"reference"``
         (this module's straight-line oracle).
     """
+    return {
+        analysis.task_id: analysis
+        for analysis in _iter_task_analyses(
+            taskset, partition, mode, enumerator, divergence_factor, engine
+        )
+    }
+
+
+def _iter_task_analyses(
+    taskset: TaskSet,
+    partition: PartitionedSystem,
+    mode: str = MODE_EP,
+    enumerator: Optional[PathEnumerator] = None,
+    divergence_factor: float = 1.0,
+    engine: str = DEFAULT_ENGINE,
+) -> Iterator[TaskAnalysis]:
+    """Yield each task's :class:`TaskAnalysis` in decreasing priority order.
+
+    The parameters are :func:`analyze_taskset`'s.  A task's bound reads
+    only the bounds yielded before it (later tasks contribute their
+    deadline), so a caller may stop early without changing what it has
+    already read.  Builds the kernel (or reference context) once, when
+    iteration starts.
+    """
     if mode not in (MODE_EP, MODE_EN):
         raise ValueError(f"unknown analysis mode {mode!r}")
     _check_engine(engine)
@@ -265,7 +293,8 @@ def analyze_taskset(
     else:
         ctx = DpcpPContext(taskset, partition)
         response_times = ctx.response_times
-    results: Dict[int, TaskAnalysis] = {}
+    tel = _active_telemetry()
+    counters = tel.counters if tel is not None else None
     for task in taskset.by_priority(descending=True):
         bound = task.deadline * max(divergence_factor, 1.0)
         if kernel is not None:
@@ -278,11 +307,14 @@ def analyze_taskset(
             wcrt = task_wcrt_ep(ctx, task, enumerator, bound)
         else:
             wcrt = task_wcrt_en(ctx, task, bound)
-        results[task.task_id] = TaskAnalysis(
+        if counters is not None:
+            # Inline bump, as for ``partition.wfd_passes``: the method-call
+            # API would be a visible slice of the telemetry budget here.
+            counters["analysis.tasks"] = counters.get("analysis.tasks", 0) + 1
+        response_times[task.task_id] = min(wcrt, task.deadline)
+        yield TaskAnalysis(
             task_id=task.task_id,
             wcrt=wcrt,
             deadline=task.deadline,
             processors=partition.num_processors_of(task.task_id),
         )
-        response_times[task.task_id] = min(wcrt, task.deadline)
-    return results

@@ -49,7 +49,14 @@ class TaskAnalysis:
 
 @dataclass
 class SchedulabilityResult:
-    """Outcome of a schedulability test on a whole task set."""
+    """Outcome of a schedulability test on a whole task set.
+
+    ``task_analyses`` bounds every task of an accepted task set.  A test may
+    stop at the first deadline miss, so an unschedulable result can carry
+    only some tasks' bounds (DPCP-p's Algorithm 1 keeps the priority-ordered
+    prefix that ends at the failing task); :meth:`wcrt` reports the others
+    as unbounded.
+    """
 
     schedulable: bool
     protocol: str

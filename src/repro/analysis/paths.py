@@ -320,7 +320,8 @@ class PathEnumerator:
     ``(id(task), task_id)`` key could silently return a stale enumeration for
     a *different* task after the original was garbage collected and its
     ``id()`` recycled.  Entries are additionally keyed on the DAG's edge
-    count, so the supported mutation (``DAG.add_edge``) invalidates them —
+    count, so the supported mutations (``DAG.add_edge``,
+    ``DAG.add_forward_edges``) invalidate them —
     mirroring ``DAGTask.critical_path_length``.
     """
 

@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Tuple
 
+import numpy as np
+
 from ..model.dag import DAG
 from ..utils.rng import RngLike, ensure_rng
 from .randfixedsum import GenerationError
@@ -57,10 +59,10 @@ def erdos_renyi_dag(num_vertices: int, edge_probability: float, rng: RngLike = N
     if num_vertices == 1 or edge_probability == 0.0:
         return dag
     draws = generator.uniform(size=(num_vertices, num_vertices))
-    for src in range(num_vertices):
-        for dst in range(src + 1, num_vertices):
-            if draws[src, dst] < edge_probability:
-                dag.add_edge(src, dst)
+    # Only the strict upper triangle is read, in row-major order (np.nonzero's
+    # order), so the edges and adjacency lists match a pairwise loop.
+    sources, targets = np.nonzero(np.triu(draws < edge_probability, 1))
+    dag.add_forward_edges(sources.tolist(), targets.tolist())
     return dag
 
 

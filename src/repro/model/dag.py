@@ -86,6 +86,24 @@ class DAG:
         self._pred[dst].append(src)
         self._topo_cache = ()
 
+    def add_forward_edges(self, sources: Iterable[int], targets: Iterable[int]) -> None:
+        """Add the edges ``sources[k] -> targets[k]`` in order, in bulk.
+
+        Every edge must point forward in vertex order (``src < dst``), which
+        keeps the graph acyclic by construction; duplicates are ignored as
+        in :meth:`add_edge`.  The adjacency lists grow in the given order.
+        """
+        n, edges, succ, pred = self._n, self._edges, self._succ, self._pred
+        for src, dst in zip(sources, targets):
+            if not 0 <= src < dst < n:
+                raise DAGError(f"edge ({src}, {dst}) is not a forward edge of this DAG")
+            if (src, dst) in edges:
+                continue
+            edges.add((src, dst))
+            succ[src].append(dst)
+            pred[dst].append(src)
+        self._topo_cache = ()
+
     def _validate(self) -> None:
         # A topological sort succeeds iff the graph is acyclic.
         self.topological_order()

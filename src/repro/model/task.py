@@ -210,7 +210,8 @@ class DAGTask:
         """:math:`L^*_i` — length of the longest path of the DAG.
 
         Cached per edge count: the analyses query this repeatedly, and the
-        only supported DAG mutation (``add_edge``) changes the edge count.
+        supported DAG mutations (``add_edge``, ``add_forward_edges``) only
+        add edges, so they change the edge count.
         """
         cached = self._critical_path_cache
         if cached is not None and cached[0] == self.dag.num_edges:
@@ -248,8 +249,9 @@ class DAGTask:
         """Initial federated assignment :math:`\\lceil (C_i-L^*_i)/(D_i-L^*_i) \\rceil`.
 
         Cached per edge count (every schedulability test starts its sizing
-        pass here; the only supported DAG mutation, ``add_edge``, changes
-        the edge count and thereby :math:`L^*_i`).
+        pass here; the supported DAG mutations, ``add_edge`` and
+        ``add_forward_edges``, change the edge count and thereby
+        :math:`L^*_i`).
         """
         cached = self._min_processors_cache
         if cached is not None and cached[0] == self.dag.num_edges:

@@ -2,14 +2,34 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.dpcp_p.partition import (
     partition_and_analyze,
     wfd_assign_resources,
 )
+from repro.analysis.dpcp_p.wcrt import analyze_taskset
+from repro.analysis.interfaces import SchedulabilityResult
+from repro.analysis.paths import PathEnumerator
+from repro.generation import (
+    DagGenerationConfig,
+    GenerationError,
+    ResourceGenerationConfig,
+    TaskSetGenerationConfig,
+    generate_taskset,
+)
 from repro.model.dag import DAG
-from repro.model.platform import Cluster, Platform, minimal_federated_clusters
+from repro.obs import telemetry
+from repro.model.platform import (
+    Cluster,
+    PartitionedSystem,
+    Platform,
+    minimal_federated_clusters,
+)
 from repro.model.resources import ResourceUsage
 from repro.model.task import DAGTask, TaskSet, Vertex
 
@@ -178,3 +198,182 @@ def test_partition_uses_spare_processors_when_needed():
     assert not small.schedulable
     assert large.schedulable
     assert large.partition.num_processors_of(0) > taskset.task(0).minimum_processors()
+
+
+# --------------------------------------------------------------------------- #
+# Algorithm 1 stops each pass at the first deadline miss
+# --------------------------------------------------------------------------- #
+#: Contended small systems, so passes fail, processors get granted, and some
+#: task sets end unschedulable with lower-priority tasks never analysed.
+CONTENDED_CONFIG = TaskSetGenerationConfig(
+    average_utilization=1.5,
+    dag=DagGenerationConfig(num_vertices_range=(6, 16), edge_probability=0.2),
+    resources=ResourceGenerationConfig(
+        num_resources_range=(2, 5),
+        access_probability=0.7,
+        request_count_range=(1, 12),
+        cs_length_range=(15.0, 60.0),
+    ),
+)
+
+
+def _full_pass_algorithm1(taskset, platform, mode, engine):
+    """Algorithm 1 as it ran before the early stop: every task, every pass."""
+    name = f"DPCP-p-{mode}"
+    clusters = minimal_federated_clusters(taskset, platform)
+    if clusters is None:
+        return SchedulabilityResult(
+            schedulable=False,
+            protocol=name,
+            reason="not enough processors for the minimal federated assignment",
+        )
+    enumerator = PathEnumerator()
+    while True:
+        wfd = wfd_assign_resources(taskset, clusters)
+        if not wfd.feasible:
+            return SchedulabilityResult(
+                schedulable=False,
+                protocol=name,
+                reason=f"WFD resource assignment infeasible: {wfd.reason}",
+            )
+        partition = PartitionedSystem(taskset, platform, clusters, wfd.assignment)
+        analyses = analyze_taskset(
+            taskset, partition, mode=mode, enumerator=enumerator, engine=engine
+        )
+        assert analyses.keys() == {task.task_id for task in taskset}
+        failing = next(
+            (
+                task.task_id
+                for task in taskset.by_priority(descending=True)
+                if not analyses[task.task_id].schedulable
+            ),
+            None,
+        )
+        if failing is None:
+            return SchedulabilityResult(
+                schedulable=True, protocol=name, task_analyses=analyses,
+                partition=partition,
+            )
+        unassigned = partition.unassigned_processors()
+        if not unassigned:
+            return SchedulabilityResult(
+                schedulable=False, protocol=name, task_analyses=analyses,
+                partition=partition,
+                reason=(
+                    f"task {failing} misses its deadline and no spare processor "
+                    "is available"
+                ),
+            )
+        clusters[failing].processors.append(unassigned[0])
+
+
+def _partition_shape(result):
+    partition = result.partition
+    if partition is None:
+        return None
+    sizes = {
+        task.task_id: partition.num_processors_of(task.task_id)
+        for task in partition.taskset
+    }
+    return sizes, dict(partition.resource_assignment)
+
+
+def assert_early_stop_matches_full_pass(taskset, platform, mode, engine):
+    early = partition_and_analyze(taskset, platform, mode=mode, engine=engine)
+    full = _full_pass_algorithm1(taskset, platform, mode, engine)
+    assert early.schedulable == full.schedulable
+    assert early.reason == full.reason
+    assert _partition_shape(early) == _partition_shape(full)
+    if early.schedulable:
+        assert early.task_analyses == full.task_analyses
+        return early
+    order = [task.task_id for task in taskset.by_priority(descending=True)]
+    prefix = list(early.task_analyses)
+    assert prefix == order[: len(prefix)]
+    for tid in prefix:
+        assert early.task_analyses[tid] == full.task_analyses[tid]
+    if prefix:
+        # The prefix ends at the failing task, the first miss.
+        *met, failing = (early.task_analyses[tid] for tid in prefix)
+        assert not failing.schedulable
+        assert all(analysis.schedulable for analysis in met)
+        assert f"task {failing.task_id} misses" in early.reason
+    return early
+
+
+def _try_generate(utilization, seed):
+    try:
+        return generate_taskset(utilization, CONTENDED_CONFIG, rng=seed)
+    except GenerationError:
+        return None
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    utilization=st.sampled_from([2.0, 3.5, 5.0]),
+    processors=st.sampled_from([4, 8, 12]),
+    mode=st.sampled_from(["EP", "EN"]),
+    engine=st.sampled_from(["kernel", "reference"]),
+)
+@settings(max_examples=60, deadline=None)
+def test_property_early_stop_matches_full_pass(
+    seed, utilization, processors, mode, engine
+):
+    taskset = _try_generate(utilization, seed)
+    if taskset is None:
+        return
+    assert_early_stop_matches_full_pass(taskset, Platform(processors), mode, engine)
+
+
+@pytest.mark.parametrize("mode", ["EP", "EN"])
+def test_early_stop_is_exercised(mode):
+    """The property above is vacuous unless some pass actually stops early
+    and some accepted task set needed granted processors."""
+    stopped_early = granted = False
+    for utilization, seed in itertools.product((2.0, 5.0), range(20)):
+        taskset = _try_generate(utilization, seed)
+        if taskset is None:
+            continue
+        result = assert_early_stop_matches_full_pass(
+            taskset, Platform(8), mode, "kernel"
+        )
+        if result.partition is not None and not result.schedulable:
+            stopped_early |= 0 < len(result.task_analyses) < len(taskset)
+        if result.schedulable:
+            granted |= any(
+                result.partition.num_processors_of(task.task_id)
+                > task.minimum_processors()
+                for task in taskset
+            )
+        if stopped_early and granted:
+            return
+    pytest.fail(
+        f"stopped_early={stopped_early} granted={granted}; tighten CONTENDED_CONFIG"
+    )
+
+
+def test_analysis_tasks_counter_counts_reached_tasks():
+    taskset = build_sharing_taskset()
+    platform = Platform(12)
+    clusters = minimal_federated_clusters(taskset, platform)
+    wfd = wfd_assign_resources(taskset, clusters)
+    partition = PartitionedSystem(taskset, platform, clusters, wfd.assignment)
+    with telemetry.session() as tel:
+        analyze_taskset(taskset, partition, mode="EN")
+    assert tel.counters["analysis.tasks"] == len(taskset)
+
+    for seed in range(20):
+        taskset = _try_generate(5.0, seed)
+        if taskset is None:
+            continue
+        with telemetry.session() as tel:
+            result = partition_and_analyze(taskset, Platform(8), mode="EP")
+        if result.partition is None or result.schedulable:
+            continue
+        passes = tel.counters["partition.wfd_passes"]
+        analysed = tel.counters["analysis.tasks"]
+        assert len(result.task_analyses) <= analysed
+        if len(result.task_analyses) < len(taskset):
+            assert analysed < passes * len(taskset)
+            return
+    pytest.fail("no seed stopped a pass early")

@@ -14,6 +14,7 @@ from repro.generation.periods import (
     log_uniform_periods,
 )
 from repro.generation.randfixedsum import GenerationError
+from repro.model.dag import DAG
 
 
 # --------------------------------------------------------------------------- #
@@ -50,6 +51,35 @@ def test_erdos_renyi_deterministic_with_seed():
     a = erdos_renyi_dag(12, 0.25, rng=99)
     b = erdos_renyi_dag(12, 0.25, rng=99)
     assert a.edges == b.edges
+
+
+def _pairwise_loop_dag(num_vertices, edge_probability, generator):
+    """The generator's former body: one ``add_edge`` per upper-triangle pair."""
+    dag = DAG(num_vertices)
+    if num_vertices == 1 or edge_probability == 0.0:
+        return dag
+    draws = generator.uniform(size=(num_vertices, num_vertices))
+    for src in range(num_vertices):
+        for dst in range(src + 1, num_vertices):
+            if draws[src, dst] < edge_probability:
+                dag.add_edge(src, dst)
+    return dag
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 42, 2020])
+@pytest.mark.parametrize("n", [1, 2, 10, 100])
+@pytest.mark.parametrize("p", [0.0, 0.1, 0.5, 1.0])
+def test_bulk_edges_match_the_pairwise_loop(seed, n, p):
+    bulk_rng = np.random.default_rng(seed)
+    loop_rng = np.random.default_rng(seed)
+    bulk = erdos_renyi_dag(n, p, rng=bulk_rng)
+    loop = _pairwise_loop_dag(n, p, loop_rng)
+    assert bulk.edges == loop.edges
+    assert bulk.successor_lists() == loop.successor_lists()
+    assert bulk.predecessor_lists() == loop.predecessor_lists()
+    assert all(type(v) is int for edge in bulk.edges for v in edge)
+    # Same draws consumed: the stream continues identically.
+    assert bulk_rng.uniform() == loop_rng.uniform()
 
 
 def test_random_dag_respects_config_range():

@@ -49,6 +49,25 @@ def test_duplicate_edges_are_idempotent():
     assert dag.num_edges == 1
 
 
+def test_add_forward_edges_matches_add_edge():
+    bulk = DAG(5)
+    bulk.add_forward_edges([0, 0, 1, 0, 3], [2, 1, 4, 2, 4])
+    single = DAG(5)
+    for src, dst in [(0, 2), (0, 1), (1, 4), (3, 4)]:
+        single.add_edge(src, dst)
+    assert bulk.edges == single.edges
+    assert bulk.successor_lists() == single.successor_lists()
+    assert bulk.predecessor_lists() == single.predecessor_lists()
+    assert bulk.topological_order() == single.topological_order()
+
+
+@pytest.mark.parametrize("edge", [(1, 1), (2, 1), (-1, 2), (0, 5)])
+def test_add_forward_edges_rejects_backward_or_unknown(edge):
+    dag = DAG(5)
+    with pytest.raises(DAGError):
+        dag.add_forward_edges([edge[0]], [edge[1]])
+
+
 def test_accepts_edge_objects():
     dag = DAG(3, [Edge(0, 1), Edge(1, 2)])
     assert dag.has_edge(0, 1)
