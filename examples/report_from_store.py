@@ -1,13 +1,13 @@
 #!/usr/bin/env python3
-"""Reporting quickstart: campaign store → cached aggregation → full bundle.
+"""Reporting quickstart: campaign store → aggregation → full bundle.
 
 Demonstrates the reporting subsystem (see DESIGN.md, "Reporting") on a
 reduced campaign, entirely through library entry points:
 
 1. run a small fixed-seed campaign into a store;
-2. aggregate the store — cold: every work unit is folded from the JSONL;
-3. aggregate again — the on-disk cache is hit, nothing is re-folded;
-4. write the full report bundle (REPORT.md, report.html, per-scenario
+2. aggregate the store: every work unit is folded from the JSONL, and
+   nothing is written back;
+3. write the full report bundle (REPORT.md, report.html, per-scenario
    CSVs) and show where each artifact landed.
 
 Run with:  PYTHONPATH=src python examples/report_from_store.py
@@ -39,21 +39,13 @@ def main() -> None:
         "--quiet",
     ])
 
-    print("\n=== 2. cold aggregation: every unit folded from results.jsonl ===")
+    print("\n=== 2. aggregate: every unit folded from results.jsonl ===")
     aggregate = aggregate_store(store)
-    stats = aggregate.cache_stats
-    print(f"  cache hit: {stats.hit}  folded: {stats.units_folded}  "
-          f"from cache: {stats.units_from_cache}")
+    print(f"  units: {aggregate.completed_units}/{aggregate.total_units}")
     print(f"  weighted acceptance: "
           f"{ {p: round(r, 3) for p, r in aggregate.weighted_acceptance().items()} }")
 
-    print("\n=== 3. warm aggregation: the on-disk cache is hit ===")
-    aggregate = aggregate_store(store)
-    stats = aggregate.cache_stats
-    print(f"  cache hit: {stats.hit}  folded: {stats.units_folded}  "
-          f"from cache: {stats.units_from_cache}")
-
-    print("\n=== 4. write the report bundle ===")
+    print("\n=== 3. write the report bundle ===")
     bundle = write_report_bundle(aggregate, os.path.join(store, "report"))
     for path in bundle.paths:
         print(f"  {path}")

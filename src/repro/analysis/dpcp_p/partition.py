@@ -88,7 +88,6 @@ def partition_and_analyze(
     platform: Platform,
     mode: str = MODE_EP,
     enumerator: Optional[PathEnumerator] = None,
-    protocol_name: str = "DPCP-p",
     engine: str = DEFAULT_ENGINE,
 ) -> SchedulabilityResult:
     """Algorithm 1: iterative task/resource partitioning plus analysis.
@@ -99,7 +98,7 @@ def partition_and_analyze(
     accepted result bounds every task while an unschedulable one carries
     the priority-ordered prefix of bounds ending at the failing task.
     """
-    name = f"{protocol_name}-{mode}"
+    name = f"DPCP-p-{mode}"
     clusters = minimal_federated_clusters(taskset, platform)
     if clusters is None:
         return SchedulabilityResult(

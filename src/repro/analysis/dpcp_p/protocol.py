@@ -7,7 +7,7 @@ from typing import Optional
 from ...model.platform import Platform
 from ...model.task import TaskSet
 from ..interfaces import SchedulabilityResult, SchedulabilityTest
-from ..paths import DEFAULT_MAX_PATHS, DEFAULT_MAX_SIGNATURES, PathEnumerator
+from ..paths import DEFAULT_MAX_SIGNATURES, PathEnumerator
 from .partition import partition_and_analyze
 from .wcrt import DEFAULT_ENGINE, MODE_EN, MODE_EP, _check_engine
 
@@ -31,11 +31,6 @@ class DpcpPTest(SchedulabilityTest):
     max_path_signatures:
         Cap on distinct path signatures per task before the EP analysis falls
         back to the EN bound for the remaining paths.
-    max_paths:
-        Cap on raw complete paths per task (the walk's historical budget,
-        kept by the signature DP for cap-semantics parity).  Raise it for
-        wide DAGs whose exponentially many paths collapse to few signatures —
-        the DP's cost is bounded by signatures, not raw paths.
     engine:
         ``"kernel"`` (vectorized coefficients, default) or ``"reference"``
         (the straight-line oracle the kernel is validated against).
@@ -46,7 +41,6 @@ class DpcpPTest(SchedulabilityTest):
         mode: str = MODE_EP,
         max_path_signatures: int = DEFAULT_MAX_PATH_SIGNATURES,
         engine: str = DEFAULT_ENGINE,
-        max_paths: int = DEFAULT_MAX_PATHS,
     ) -> None:
         if mode not in (MODE_EP, MODE_EN):
             raise ValueError(f"unknown DPCP-p analysis mode {mode!r}")
@@ -55,23 +49,23 @@ class DpcpPTest(SchedulabilityTest):
         self.engine = engine
         self.name = f"DPCP-p-{mode}"
         self._enumerator: Optional[PathEnumerator] = (
-            PathEnumerator(max_signatures=max_path_signatures, max_paths=max_paths)
+            PathEnumerator(max_signatures=max_path_signatures)
             if mode == MODE_EP
             else None
         )
 
     def test(self, taskset: TaskSet, platform: Platform) -> SchedulabilityResult:
         """Partition tasks and resources, then bound every task's WCRT."""
-        enumerator = PathEnumerator(
-            max_signatures=self._enumerator.max_signatures,
-            max_paths=self._enumerator.max_paths,
-        ) if self._enumerator else None
+        enumerator = (
+            PathEnumerator(max_signatures=self._enumerator.max_signatures)
+            if self._enumerator
+            else None
+        )
         return partition_and_analyze(
             taskset,
             platform,
             mode=self.mode,
             enumerator=enumerator,
-            protocol_name="DPCP-p",
             engine=self.engine,
         )
 
@@ -83,13 +77,9 @@ class DpcpPEpTest(DpcpPTest):
         self,
         max_path_signatures: int = DEFAULT_MAX_PATH_SIGNATURES,
         engine: str = DEFAULT_ENGINE,
-        max_paths: int = DEFAULT_MAX_PATHS,
     ) -> None:
         super().__init__(
-            mode=MODE_EP,
-            max_path_signatures=max_path_signatures,
-            engine=engine,
-            max_paths=max_paths,
+            mode=MODE_EP, max_path_signatures=max_path_signatures, engine=engine
         )
 
 

@@ -344,11 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="fail instead of reporting only the complete scenarios",
     )
     report.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="ignore and do not write the on-disk aggregation cache",
-    )
-    report.add_argument(
         "--protocols",
         type=_parse_protocols,
         default=None,
@@ -679,7 +674,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     from ..report.aggregate import aggregate_store
     from ..report.bundle import write_report_bundle
 
-    aggregate = aggregate_store(args.store, use_cache=not args.no_cache)
+    aggregate = aggregate_store(args.store)
     if args.protocols:
         # Validate against the campaign up front: otherwise a protocol the
         # campaign never ran would pass silently while no scenario is
@@ -692,18 +687,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
                 f"campaign (campaign protocols: "
                 f"{', '.join(aggregate.protocols)})"
             )
-    stats = aggregate.cache_stats
-    if stats.hit:
-        cache_line = (
-            f"aggregation cache: hit ({stats.units_from_cache} units cached, "
-            f"{stats.units_folded} folded from the store)"
-        )
-    else:
-        cache_line = (
-            f"aggregation cache: miss [{stats.miss_reason}] "
-            f"({stats.units_folded} units folded from the store)"
-        )
-    print(cache_line)
     incomplete = aggregate.incomplete_reports()
     if incomplete and args.strict:
         raise ValueError(

@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 import os
 from datetime import datetime, timezone
-from typing import Dict, Iterable, Iterator, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, Optional, Set
 
 from .planner import MODE_ANALYZE, config_hash, manifest_format_version
 
@@ -214,44 +214,26 @@ class CampaignStore:
         record.setdefault("quarantined_at", _utcnow_iso())
         self._append_line(self.quarantine_path, record)
 
-    def results_size(self) -> int:
-        """Current byte size of the results file (0 when it does not exist)."""
-        try:
-            return os.path.getsize(self.results_path)
-        except OSError:
-            return 0
+    def iter_records(self, path: Optional[str] = None) -> Iterator[dict]:
+        """Stream completed-unit records in file order.
 
-    def iter_records(
-        self, start_offset: int = 0, path: Optional[str] = None
-    ) -> Iterator[Tuple[dict, int]]:
-        """Stream completed-unit records from byte offset ``start_offset``.
-
-        Yields ``(record, end_offset)`` pairs where ``end_offset`` is the byte
-        position just past the record's line — the resume point for the next
-        incremental read (the store is append-only, so everything before a
-        yielded offset is immutable).  Only *complete* lines (terminated by a
-        newline) are consumed: a torn trailing line from a killed writer is
-        neither yielded nor skipped past, so a re-read from the same offset
-        sees whatever the line became — :meth:`append` newline-terminates a
-        torn tail before writing, turning it into a malformed complete line.
-        Malformed complete lines are skipped (matching :meth:`load_records`),
-        and duplicate ``unit_id`` filtering is left to the caller, who knows
-        which units it already folded.  ``path`` overrides the file read
-        (the quarantine iterator reuses this machinery).
+        Only *complete* lines (terminated by a newline) are yielded: a torn
+        trailing line from a killed writer is dropped — :meth:`append`
+        newline-terminates a torn tail before writing, turning it into a
+        malformed complete line.  Malformed complete lines are skipped, and
+        duplicate ``unit_id`` filtering is left to the caller.  ``path``
+        overrides the file read (the quarantine loader reuses this).
         """
         if path is None:
             path = self.results_path
         if not os.path.isfile(path):
             return
         with open(path, "rb") as handle:
-            handle.seek(start_offset)
-            offset = start_offset
             for raw_line in handle:
                 if not raw_line.endswith(b"\n"):
                     # Torn final write of an interrupted run: the unit will
-                    # simply be re-executed on resume; do not advance past it.
+                    # simply be re-executed on resume.
                     return
-                offset += len(raw_line)
                 line = raw_line.strip()
                 if not line:
                     continue
@@ -260,7 +242,7 @@ class CampaignStore:
                 except json.JSONDecodeError:
                     continue
                 if isinstance(record, dict) and record.get("unit_id"):
-                    yield record, offset
+                    yield record
 
     def load_records(self) -> Dict[str, dict]:
         """All completed-unit records, keyed by ``unit_id``.
@@ -270,7 +252,7 @@ class CampaignStore:
         earlier checkpoints.
         """
         records: Dict[str, dict] = {}
-        for record, _ in self.iter_records():
+        for record in self.iter_records():
             unit_id = record["unit_id"]
             if unit_id not in records:
                 records[unit_id] = record
@@ -289,7 +271,7 @@ class CampaignStore:
         stale quarantine record is merely history.
         """
         records: Dict[str, dict] = {}
-        for record, _ in self.iter_records(path=self.quarantine_path):
+        for record in self.iter_records(path=self.quarantine_path):
             records[record["unit_id"]] = record
         return records
 

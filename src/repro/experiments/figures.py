@@ -136,21 +136,20 @@ def write_series_csv(result: SweepResult, path: str) -> None:
 
 
 def load_sweep_results(
-    store_directory: str, allow_partial: bool = True, use_cache: bool = False
+    store_directory: str, allow_partial: bool = True
 ) -> List[SweepResult]:
     """Load sweep results from an on-disk campaign store.
 
     Decouples figure/table regeneration from campaign execution: a store
     produced by ``python -m repro.campaign run`` can be re-rendered at any
     time.  The store is folded by the reporting aggregator
-    (:func:`repro.report.aggregate.aggregate_store`); pass
-    ``use_cache=True`` to reuse/refresh its on-disk aggregation cache.
-    Scenarios whose sweep is incomplete are skipped when ``allow_partial``
-    is true, otherwise a ``ValueError`` is raised.
+    (:func:`repro.report.aggregate.aggregate_store`).  Scenarios whose
+    sweep is incomplete are skipped when ``allow_partial`` is true,
+    otherwise a ``ValueError`` is raised.
     """
     from ..report.aggregate import aggregate_store
 
-    aggregate = aggregate_store(store_directory, use_cache=use_cache)
+    aggregate = aggregate_store(store_directory)
     if not allow_partial:
         for report in aggregate.incomplete_reports():
             raise ValueError(

@@ -17,7 +17,7 @@ in steps of 0.05 and measures the acceptance ratio of every protocol.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Iterator, List, Sequence, Tuple
+from typing import List, Tuple
 
 from ..generation.dag_gen import DagGenerationConfig
 from ..generation.resources_gen import ResourceGenerationConfig
@@ -180,8 +180,3 @@ def figure2_scenarios(
             **common,
         ),
     }
-
-
-def iter_grid(scenarios: Sequence[Scenario]) -> Iterator[Scenario]:
-    """Yield scenarios (convenience wrapper for symmetry with other iterators)."""
-    yield from scenarios

@@ -75,8 +75,8 @@ def load_pairwise_statistics(
     Only scenarios whose sweep completed contribute (partial curves would
     bias the per-scenario comparisons); pass ``allow_partial=False`` to
     require a fully executed campaign instead.  The store is folded by the
-    reporting aggregator, so this shares its code path (and cache format)
-    with ``python -m repro.campaign report``.
+    reporting aggregator, so this shares its code path with
+    ``python -m repro.campaign report``.
     """
     results = load_sweep_results(store_directory, allow_partial=allow_partial)
     if not results:

@@ -25,7 +25,6 @@ See ``docs/observability.md`` for the event taxonomy and walkthroughs.
 
 from .events import (
     EVENT_TYPES,
-    CacheStats,
     CampaignFinished,
     CampaignStarted,
     Event,
@@ -47,7 +46,6 @@ __all__ = [
     "EVENT_TYPES",
     "EVENTS_NAME",
     "LOG_LEVELS",
-    "CacheStats",
     "CampaignFinished",
     "CampaignStarted",
     "Event",

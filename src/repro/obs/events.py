@@ -4,7 +4,7 @@ Following the named-types idiom (one frozen class per message, a registry
 keyed by a stable type name), every observable campaign occurrence is its
 own dataclass: :class:`CampaignStarted`, :class:`UnitStarted`,
 :class:`UnitFinished`, :class:`UnitTelemetry`, :class:`SolveStats`,
-:class:`SimTruncated`, :class:`CacheStats`, :class:`CampaignFinished`,
+:class:`SimTruncated`, :class:`CampaignFinished`,
 the fault-tolerance trio :class:`PoolCrashed`, :class:`UnitRetried`,
 :class:`UnitQuarantined`, and the service-daemon trio
 :class:`ServiceStarted`, :class:`JobAdmitted`, :class:`JobFinished`.
@@ -168,20 +168,6 @@ class SimTruncated(Event):
     truncated: int
     simulated: int
     events: int = 0
-
-
-@_register
-@dataclass(frozen=True)
-class CacheStats(Event):
-    """A cache reported its effectiveness (e.g. the report aggregator's)."""
-
-    TYPE = "cache_stats"
-
-    cache: str
-    hit: bool
-    units_from_cache: int = 0
-    units_folded: int = 0
-    miss_reason: Optional[str] = None
 
 
 @_register

@@ -38,11 +38,11 @@ def iter_event_records(
 ) -> Iterator[Tuple[dict, int]]:
     """Stream event records from ``path`` starting at ``start_offset``.
 
-    Mirrors :meth:`repro.campaign.store.CampaignStore.iter_records`:
-    yields ``(record, end_offset)`` pairs for every *complete* line, skips
-    malformed complete lines, and never advances past a torn trailing line
-    (a killed writer's partial write), so incremental tail readers can
-    resume from the last yielded offset.
+    Reads lines like :meth:`repro.campaign.store.CampaignStore.iter_records`
+    — malformed complete lines are skipped, a torn trailing line (a killed
+    writer's partial write) is never advanced past — and yields
+    ``(record, end_offset)`` pairs, so incremental tail readers can resume
+    from the last yielded offset.
     """
     if not os.path.isfile(path):
         return

@@ -3,11 +3,9 @@ figures and tables without re-running a single analysis.
 
 The pipeline is ``store → aggregate → render``:
 
-* :mod:`repro.report.aggregate` streams a store's ``results.jsonl``, folds
+* :mod:`repro.report.aggregate` reads a store's ``results.jsonl`` and folds
   the work-unit records into per-scenario sweep curves and cross-scenario
-  rollups, and caches the folded state on disk keyed by the manifest hash
-  (re-reporting an unchanged store is a cache read; a grown store costs
-  only its appended tail);
+  rollups (statelessly: reporting never writes to the store);
 * :mod:`repro.report.series` assembles per-sweep acceptance rows — the one
   code path shared with the single-sweep helpers in
   :mod:`repro.experiments.figures`;
@@ -20,14 +18,7 @@ The pipeline is ``store → aggregate → render``:
 The CLI front-end is ``python -m repro.campaign report --store DIR``.
 """
 
-from .aggregate import (
-    CACHE_NAME,
-    CacheStats,
-    ScenarioReport,
-    StoreAggregate,
-    StoreAggregator,
-    aggregate_store,
-)
+from .aggregate import ScenarioReport, StoreAggregate, aggregate_store
 from .bundle import ReportBundle, write_report_bundle
 from .html import render_html_report
 from .markdown import render_markdown_report
@@ -40,11 +31,8 @@ from .series import (
 from .svg import curve_segments, render_svg_chart
 
 __all__ = [
-    "CACHE_NAME",
-    "CacheStats",
     "ScenarioReport",
     "StoreAggregate",
-    "StoreAggregator",
     "aggregate_store",
     "ReportBundle",
     "write_report_bundle",

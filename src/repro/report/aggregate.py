@@ -1,27 +1,20 @@
-"""Streaming store aggregation: fold unit records into curves and rollups.
+"""Store aggregation: fold unit records into curves and rollups.
 
 The aggregator is the single path from an on-disk campaign store to every
-reporting artefact.  It streams ``results.jsonl`` (never re-running any
-analysis), folds each work-unit record into per-scenario point slots, and
-derives from those slots the per-scenario
-:class:`~repro.experiments.runner.SweepResult` curves plus the
-cross-scenario rollups of the paper's Sec. VII: weighted acceptance,
+reporting artefact.  It reads ``results.jsonl`` once (never re-running any
+analysis), groups the work-unit records by scenario, and derives from them
+the per-scenario :class:`~repro.experiments.runner.SweepResult` curves plus
+the cross-scenario rollups of the paper's Sec. VII: weighted acceptance,
 pairwise dominance/outperformance, and generation-failure accounting.
 
-Because the store is append-only, aggregation caches cleanly: the folded
-point slots plus the byte offset they cover are persisted next to the store
-(``report_cache.json``), keyed by the manifest's ``config_hash`` (and the
-store/cache format versions).  Re-reporting over an unchanged store costs
-one cache read; over a grown store it costs exactly the appended tail —
-O(changed work units), not O(store).  See DESIGN.md ("Reporting") for the
-invalidation rules.
+Aggregation is stateless: it writes nothing, so reporting never changes a
+store.  See DESIGN.md ("Reporting re-reads the store") for why no on-disk
+cache sits in front of it.
 """
 
 from __future__ import annotations
 
-import json
 import math
-import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -40,31 +33,6 @@ from ..experiments.metrics import (
 )
 from ..experiments.runner import SweepResult, pairwise_statistics
 from ..experiments.scenarios import Scenario
-from ..obs.telemetry import active as _active_telemetry
-
-#: Version of the aggregation-cache layout.  Bumped on incompatible changes
-#: so stale caches are rebuilt instead of misread.
-#: Version 2: reduced point slots gained the optional ``simulation`` block
-#: (simulate-mode validation evidence), which version-1 caches dropped.
-CACHE_FORMAT_VERSION = 2
-
-#: File name of the aggregation cache inside a store directory.
-CACHE_NAME = "report_cache.json"
-
-
-@dataclass
-class CacheStats:
-    """Counters describing how one aggregation used the on-disk cache."""
-
-    #: Whether a valid cache was found and reused ("warm start").
-    hit: bool = False
-    #: Units restored from the cache instead of re-parsed from the store.
-    units_from_cache: int = 0
-    #: Units newly folded from the store's JSONL tail in this aggregation.
-    units_folded: int = 0
-    #: Why a cache was not reused (``"disabled"``, ``"cold"``, or the
-    #: invalidation reason); ``None`` on a hit.
-    miss_reason: Optional[str] = None
 
 
 @dataclass
@@ -93,7 +61,6 @@ class StoreAggregate:
     manifest: dict
     plan: CampaignPlan
     scenarios: List[ScenarioReport]
-    cache_stats: CacheStats
     #: Totals folded over every stored unit (complete or not).
     generation_failures: int = 0
     evaluated_samples: int = 0
@@ -205,244 +172,66 @@ class StoreAggregate:
         return pairwise_statistics(results, protocols=self.protocols)
 
 
-def _reduce_record(record: dict) -> dict:
-    """Strip a store record down to the fields aggregation needs.
+def aggregate_store(store_directory: str) -> StoreAggregate:
+    """Aggregate one campaign store in a single read of its records.
 
-    The optional ``simulation`` block is round-tripped through
-    :class:`~repro.experiments.metrics.ValidationRollup` so a malformed
-    cached slot raises here (invalidating the cache) instead of crashing
-    assembly later.
+    Records come from :meth:`CampaignStore.load_records`: the first record
+    wins per unit, and torn or malformed lines are skipped.  Records
+    without a ``scenario_id``/``point_index`` are ignored.
     """
-    reduced = {
-        "utilization": float(record["utilization"]),
-        "accepted": {k: int(v) for k, v in record["accepted"].items()},
-        "evaluated": int(record["evaluated"]),
-        "generation_failures": int(record.get("generation_failures", 0)),
-        "elapsed_seconds": float(record.get("elapsed_seconds", 0.0)),
-    }
-    if record.get("simulation") is not None:
-        reduced["simulation"] = {
-            str(name): ValidationRollup.from_dict(data).to_dict()
-            for name, data in record["simulation"].items()
-        }
-    return reduced
+    store = CampaignStore(store_directory)
+    manifest = store.read_manifest()
+    plan = plan_from_manifest(manifest)
+    records = store.load_records()
 
+    by_scenario: Dict[str, List[UnitResult]] = {}
+    for record in records.values():
+        if record.get("scenario_id") is None or record.get("point_index") is None:
+            continue
+        result = UnitResult.from_record(record)
+        by_scenario.setdefault(result.scenario_id, []).append(result)
+    expected: Dict[str, int] = {}
+    for unit in plan.units:
+        scenario_id = unit.scenario.scenario_id
+        expected[scenario_id] = expected.get(scenario_id, 0) + 1
 
-def _unit_result(scenario_id: str, point_index: int, data: dict) -> UnitResult:
-    """Rebuild a :class:`UnitResult` from one cached/folded point slot."""
-    return UnitResult(
-        unit_id=f"{scenario_id}:p{point_index:02d}",
-        scenario_id=scenario_id,
-        point_index=point_index,
-        utilization=data["utilization"],
-        accepted=dict(data["accepted"]),
-        evaluated=data["evaluated"],
-        generation_failures=data["generation_failures"],
-        elapsed_seconds=data["elapsed_seconds"],
+    aggregate = StoreAggregate(
+        store_directory=store.directory,
+        manifest=manifest,
+        plan=plan,
+        scenarios=[],
+        # Unresolved quarantine, checked against the records already read
+        # (``unresolved_quarantine`` would read results.jsonl a second time).
+        quarantined={
+            unit_id: record
+            for unit_id, record in store.load_quarantine().items()
+            if unit_id not in records
+        },
     )
-
-
-class StoreAggregator:
-    """Incremental aggregation of one campaign store.
-
-    Instantiate with the store directory and call :meth:`aggregate`.  With
-    ``use_cache=True`` (the default) the folded state is read from and
-    written back to ``<store>/report_cache.json``; with ``use_cache=False``
-    the store is re-streamed from byte 0 and nothing is written.
-    """
-
-    def __init__(self, store_directory: str, use_cache: bool = True) -> None:
-        self.store = CampaignStore(store_directory)
-        self.use_cache = use_cache
-
-    @property
-    def cache_path(self) -> str:
-        """Path of the on-disk aggregation cache."""
-        return os.path.join(self.store.directory, CACHE_NAME)
-
-    # ------------------------------------------------------------------ #
-    # Cache I/O
-    # ------------------------------------------------------------------ #
-    def _load_cache(self, manifest: dict) -> "tuple[Optional[dict], Optional[str]]":
-        """Load the cache if it is valid for ``manifest``.
-
-        Returns ``(cache, None)`` on success or ``(None, reason)`` when the
-        cache is absent or must be discarded.
-        """
-        if not os.path.isfile(self.cache_path):
-            return None, "cold"
-        try:
-            with open(self.cache_path) as handle:
-                cache = json.load(handle)
-        except (OSError, json.JSONDecodeError):
-            return None, "unreadable cache file"
-        if not isinstance(cache, dict):
-            return None, "malformed cache file"
-        if cache.get("cache_format_version") != CACHE_FORMAT_VERSION:
-            return None, "cache format version changed"
-        if cache.get("store_format_version") != manifest.get("format_version"):
-            return None, "store format version changed"
-        if cache.get("config_hash") != manifest.get("config_hash"):
-            return None, "campaign configuration changed"
-        offset = cache.get("results_offset")
-        if not isinstance(offset, int) or offset < 0:
-            return None, "malformed cache offset"
-        if offset > self.store.results_size():
-            # The append-only contract was broken (results.jsonl shrank);
-            # everything folded so far is suspect.
-            return None, "results file shrank below the cached offset"
-        points = cache.get("points")
-        if not isinstance(points, dict):
-            return None, "malformed cache points"
-        # Deep-validate (and type-normalize) every cached slot now: a
-        # corrupt entry must invalidate the cache here — rule 5 of the
-        # DESIGN.md invalidation rules — not crash assembly later.
-        try:
-            cache["points"] = {
-                str(scenario_id): {
-                    str(int(index)): _reduce_record(slot)
-                    for index, slot in slots.items()
-                }
-                for scenario_id, slots in points.items()
-            }
-        except (AttributeError, KeyError, TypeError, ValueError):
-            return None, "malformed cache points"
-        return cache, None
-
-    def _write_cache(
-        self, manifest: dict, offset: int, points: Dict[str, Dict[str, dict]]
-    ) -> None:
-        """Atomically persist the folded state next to the store."""
-        payload = {
-            "cache_format_version": CACHE_FORMAT_VERSION,
-            "store_format_version": manifest["format_version"],
-            "config_hash": manifest["config_hash"],
-            "results_offset": offset,
-            "points": points,
-        }
-        temporary = self.cache_path + ".tmp"
-        with open(temporary, "w") as handle:
-            json.dump(payload, handle, separators=(",", ":"), sort_keys=True)
-            handle.write("\n")
-        os.replace(temporary, self.cache_path)
-
-    # ------------------------------------------------------------------ #
-    # Aggregation
-    # ------------------------------------------------------------------ #
-    def aggregate(self) -> StoreAggregate:
-        """Fold the store into a :class:`StoreAggregate` (one streaming pass)."""
-        manifest = self.store.read_manifest()
-        plan = plan_from_manifest(manifest)
-
-        stats = CacheStats()
-        points: Dict[str, Dict[str, dict]] = {}
-        offset = 0
-        if not self.use_cache:
-            stats.miss_reason = "disabled"
-        else:
-            cache, reason = self._load_cache(manifest)
-            if cache is None:
-                stats.miss_reason = reason
-            else:
-                stats.hit = True
-                points = cache["points"]
-                offset = cache["results_offset"]
-                stats.units_from_cache = sum(len(p) for p in points.values())
-
-        # Fold the (possibly empty) un-cached tail of the results file.
-        # First record wins per point, matching CampaignStore.load_records.
-        for record, end_offset in self.store.iter_records(start_offset=offset):
-            offset = end_offset
-            scenario_id = record.get("scenario_id")
-            point_index = record.get("point_index")
-            if scenario_id is None or point_index is None:
-                continue
-            slots = points.setdefault(scenario_id, {})
-            key = str(int(point_index))
-            if key in slots:
-                continue
-            slots[key] = _reduce_record(record)
-            stats.units_folded += 1
-
-        if self.use_cache and (stats.units_folded or not stats.hit):
-            try:
-                self._write_cache(manifest, offset, points)
-            except OSError:
-                # A read-only store (archive mount, foreign ownership) must
-                # not fail the report — the aggregate in hand is complete;
-                # only the next invocation's warm start is lost.
-                pass
-
-        tel = _active_telemetry()
-        if tel is not None:
-            tel.count("aggregate.cache.hits" if stats.hit else "aggregate.cache.misses")
-            tel.count("aggregate.units_from_cache", stats.units_from_cache)
-            tel.count("aggregate.units_folded", stats.units_folded)
-
-        aggregate = self._assemble(manifest, plan, points, stats)
-        # Quarantine accounting rides along uncached: the file is tiny
-        # (failures are exceptional) and a record can be healed by a later
-        # successful run, so re-deriving it each pass is both cheap and
-        # the only correct option.
-        aggregate.quarantined = self.store.unresolved_quarantine()
-        return aggregate
-
-    def _assemble(
-        self,
-        manifest: dict,
-        plan: CampaignPlan,
-        points: Dict[str, Dict[str, dict]],
-        stats: CacheStats,
-    ) -> StoreAggregate:
-        """Turn folded point slots into scenario reports and rollups."""
-        expected: Dict[str, int] = {}
-        for unit in plan.units:
-            scenario_id = unit.scenario.scenario_id
-            expected[scenario_id] = expected.get(scenario_id, 0) + 1
-
-        aggregate = StoreAggregate(
-            store_directory=self.store.directory,
-            manifest=manifest,
-            plan=plan,
-            scenarios=[],
-            cache_stats=stats,
-        )
-        simulate_mode = manifest.get("mode", MODE_ANALYZE) == MODE_SIMULATE
-        for scenario in plan.scenarios:
-            slots = points.get(scenario.scenario_id, {})
-            unit_results = [
-                _unit_result(scenario.scenario_id, int(index), data)
-                for index, data in slots.items()
-            ]
-            sweep = assemble_sweep(scenario, plan.protocol_names, unit_results)
-            validation = None
-            if simulate_mode:
-                # Fold in point order so float sums are byte-deterministic
-                # regardless of completion/caching order.
-                validation = {
-                    name: ValidationRollup() for name in plan.protocol_names
-                }
-                for index in sorted(slots, key=int):
-                    simulation = slots[index].get("simulation") or {}
-                    for name, data in simulation.items():
-                        if name in validation:
-                            validation[name].merge(ValidationRollup.from_dict(data))
-            aggregate.scenarios.append(
-                ScenarioReport(
-                    scenario=scenario,
-                    sweep=sweep,
-                    points_done=len(unit_results),
-                    points_total=expected.get(scenario.scenario_id, 0),
-                    validation=validation,
-                )
+    simulate_mode = aggregate.mode == MODE_SIMULATE
+    for scenario in plan.scenarios:
+        unit_results = by_scenario.get(scenario.scenario_id, [])
+        sweep = assemble_sweep(scenario, plan.protocol_names, unit_results)
+        validation = None
+        if simulate_mode:
+            # Fold in point order so float sums are byte-deterministic
+            # regardless of completion order.
+            validation = {name: ValidationRollup() for name in plan.protocol_names}
+            for result in sorted(unit_results, key=lambda r: r.point_index):
+                for name, rollup in (result.simulation or {}).items():
+                    if name in validation:
+                        validation[name].merge(rollup)
+        aggregate.scenarios.append(
+            ScenarioReport(
+                scenario=scenario,
+                sweep=sweep,
+                points_done=len(unit_results),
+                points_total=expected.get(scenario.scenario_id, 0),
+                validation=validation,
             )
-            for result in unit_results:
-                aggregate.generation_failures += result.generation_failures
-                aggregate.evaluated_samples += result.evaluated
-                aggregate.elapsed_seconds += result.elapsed_seconds
-        return aggregate
-
-
-def aggregate_store(store_directory: str, use_cache: bool = True) -> StoreAggregate:
-    """Aggregate one campaign store (see :class:`StoreAggregator`)."""
-    return StoreAggregator(store_directory, use_cache=use_cache).aggregate()
+        )
+        for result in unit_results:
+            aggregate.generation_failures += result.generation_failures
+            aggregate.evaluated_samples += result.evaluated
+            aggregate.elapsed_seconds += result.elapsed_seconds
+    return aggregate

@@ -238,9 +238,8 @@ class ServiceDaemon:
     def _report(self, job_id: str) -> Message:
         """Aggregate a campaign job's store into a :class:`ReportReady`.
 
-        The aggregation runs through the same ``report_cache.json``-backed
-        path as ``campaign report``, so repeated report requests over an
-        unchanged store cost one cache read.
+        The aggregation is the same stateless store read as
+        ``campaign report``, so a report always reflects the store as it is.
         """
         from ..report.aggregate import aggregate_store
 
@@ -267,7 +266,6 @@ class ServiceDaemon:
             "complete": aggregate.complete,
             "weighted_acceptance": aggregate.weighted_acceptance(),
             "quarantined": sorted(aggregate.quarantined),
-            "cache_hit": aggregate.cache_stats.hit,
         }
         complete = aggregate.complete and not aggregate.quarantined
         return ReportReady(

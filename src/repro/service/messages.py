@@ -281,12 +281,12 @@ class GetStats(Message):
 @_register
 @dataclass(frozen=True)
 class GetReport(Message):
-    """Request the cached report aggregate of a finished campaign job.
+    """Request the report aggregate of a finished campaign job.
 
     The daemon folds the job's store through the reporting aggregator —
-    the same ``report_cache.json``-backed path as ``campaign report`` —
-    and answers with a :class:`ReportReady` whose ``exit_code`` mirrors
-    the CLI's watch-friendly convention (0 complete, 3 incomplete).
+    the same stateless store read as ``campaign report`` — and answers
+    with a :class:`ReportReady` whose ``exit_code`` mirrors the CLI's
+    watch-friendly convention (0 complete, 3 incomplete).
     """
 
     TYPE = "get_report"
@@ -394,7 +394,7 @@ class ResultReady(Message):
 @_register
 @dataclass(frozen=True)
 class ReportReady(Message):
-    """Reply to :class:`GetReport`: the cached aggregate summary of a store."""
+    """Reply to :class:`GetReport`: the aggregate summary of a store."""
 
     TYPE = "report_ready"
     DIRECTION = DIRECTION_REPLY

@@ -98,8 +98,8 @@ def test_append_after_a_torn_line_heals_it_and_loses_no_record(tmp_path, manifes
     records = store.load_records()
     assert set(records) == {"u1", "u2"}
     assert records["u2"]["accepted"] == {"SPIN": 0}
-    # And the incremental reader walks straight through the healed junk line.
-    assert [r["unit_id"] for r, _ in store.iter_records()] == ["u1", "u2"]
+    # And the record reader walks straight through the healed junk line.
+    assert [r["unit_id"] for r in store.iter_records()] == ["u1", "u2"]
 
 
 def test_config_mismatch_is_refused(tmp_path, manifest, scenario):

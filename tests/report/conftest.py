@@ -55,7 +55,7 @@ def run_campaign():
 def finished_store(tmp_path_factory) -> str:
     """A completed fixture campaign store (session-scoped, read-only).
 
-    Tests that mutate the store (cache files, resumes) must copy it or run
+    Tests that mutate the store (appended lines, resumes) must copy it or run
     their own campaign instead.
     """
     store = str(tmp_path_factory.mktemp("report-fixture") / "store")

@@ -1,19 +1,14 @@
-"""Aggregator tests: folding, rollups, and the on-disk aggregation cache."""
+"""Aggregator tests: folding, rollups, and store streaming."""
 
 from __future__ import annotations
 
-import json
-import os
 import shutil
 
-import pytest
-
-from repro.campaign import cli
 from repro.campaign.store import CampaignStore
 from repro.experiments.figures import load_sweep_results
 from repro.experiments.metrics import weighted_acceptance
 from repro.experiments.runner import pairwise_statistics
-from repro.report.aggregate import CACHE_NAME, StoreAggregator, aggregate_store
+from repro.report.aggregate import aggregate_store
 
 #: Unit count of the conftest fixture campaign (2 scenarios x 2 points).
 CAMPAIGN_UNITS = 4
@@ -23,10 +18,6 @@ def copy_store(finished_store, tmp_path) -> str:
     """Private mutable copy of the session fixture store."""
     target = str(tmp_path / "store")
     shutil.copytree(finished_store, target)
-    # A pristine copy must not inherit another test's aggregation cache.
-    cache = os.path.join(target, CACHE_NAME)
-    if os.path.exists(cache):
-        os.remove(cache)
     return target
 
 
@@ -34,7 +25,7 @@ def copy_store(finished_store, tmp_path) -> str:
 # Folding and rollups
 # --------------------------------------------------------------------------- #
 def test_aggregate_matches_store_records(finished_store):
-    aggregate = aggregate_store(finished_store, use_cache=False)
+    aggregate = aggregate_store(finished_store)
     assert aggregate.complete
     assert aggregate.total_units == CAMPAIGN_UNITS
     assert aggregate.completed_units == CAMPAIGN_UNITS
@@ -61,7 +52,7 @@ def test_aggregate_matches_store_records(finished_store):
 
 
 def test_rollups_match_metrics_layer(finished_store):
-    aggregate = aggregate_store(finished_store, use_cache=False)
+    aggregate = aggregate_store(finished_store)
     results = aggregate.complete_results()
 
     curves = [r.curves[p] for r in results for p in aggregate.protocols]
@@ -77,7 +68,7 @@ def test_rollups_match_metrics_layer(finished_store):
 def test_partial_store_reports_incomplete_scenarios(tmp_path, run_campaign):
     store = str(tmp_path / "store")
     assert run_campaign(store, "--max-units", "3") == 3
-    aggregate = aggregate_store(store, use_cache=False)
+    aggregate = aggregate_store(store)
     assert not aggregate.complete
     assert aggregate.completed_units == 3
     complete = aggregate.complete_reports()
@@ -92,7 +83,7 @@ def test_partial_store_reports_incomplete_scenarios(tmp_path, run_campaign):
 def test_empty_store_aggregates_to_zero_units(tmp_path, run_campaign):
     store = str(tmp_path / "store")
     assert run_campaign(store, "--max-units", "0") == 3
-    aggregate = aggregate_store(store, use_cache=False)
+    aggregate = aggregate_store(store)
     assert aggregate.completed_units == 0
     assert aggregate.complete_results() == []
     assert aggregate.weighted_acceptance() == {}
@@ -100,166 +91,15 @@ def test_empty_store_aggregates_to_zero_units(tmp_path, run_campaign):
 
 
 # --------------------------------------------------------------------------- #
-# The aggregation cache
-# --------------------------------------------------------------------------- #
-def test_cache_cold_then_hit_without_refolding(finished_store, tmp_path):
-    store = copy_store(finished_store, tmp_path)
-
-    first = aggregate_store(store, use_cache=True)
-    assert not first.cache_stats.hit
-    assert first.cache_stats.miss_reason == "cold"
-    assert first.cache_stats.units_folded == CAMPAIGN_UNITS
-    assert os.path.isfile(os.path.join(store, CACHE_NAME))
-
-    second = aggregate_store(store, use_cache=True)
-    assert second.cache_stats.hit
-    assert second.cache_stats.units_folded == 0
-    assert second.cache_stats.units_from_cache == CAMPAIGN_UNITS
-
-    # Cached and cold aggregations are equivalent.
-    for cold, warm in zip(first.scenarios, second.scenarios):
-        for name in first.protocols:
-            assert warm.sweep.curves[name].accepted == cold.sweep.curves[name].accepted
-            assert warm.sweep.curves[name].sampled == cold.sweep.curves[name].sampled
-
-
-def test_cache_folds_only_the_appended_tail_on_resume(tmp_path, run_campaign):
-    store = str(tmp_path / "store")
-    assert run_campaign(store, "--max-units", "3") == 3
-    partial = aggregate_store(store, use_cache=True)
-    assert partial.cache_stats.units_folded == 3
-
-    assert cli.main(["resume", "--store", store, "--quiet"]) == 0
-    resumed = aggregate_store(store, use_cache=True)
-    assert resumed.cache_stats.hit
-    assert resumed.cache_stats.units_from_cache == 3
-    assert resumed.cache_stats.units_folded == 1  # O(changed work units)
-    assert resumed.complete
-
-    # And the incrementally folded aggregate equals a full rebuild.
-    rebuilt = aggregate_store(store, use_cache=False)
-    for incremental, cold in zip(resumed.scenarios, rebuilt.scenarios):
-        for name in resumed.protocols:
-            assert (
-                incremental.sweep.curves[name].accepted
-                == cold.sweep.curves[name].accepted
-            )
-            assert (
-                incremental.sweep.curves[name].generation_failures
-                == cold.sweep.curves[name].generation_failures
-            )
-
-
-def test_cache_disabled_never_touches_disk(finished_store, tmp_path):
-    store = copy_store(finished_store, tmp_path)
-    aggregate = aggregate_store(store, use_cache=False)
-    assert aggregate.cache_stats.miss_reason == "disabled"
-    assert not os.path.exists(os.path.join(store, CACHE_NAME))
-
-
-@pytest.mark.parametrize(
-    "mutate, reason_fragment",
-    [
-        (lambda c: {**c, "config_hash": "0" * 64}, "configuration changed"),
-        (lambda c: {**c, "cache_format_version": -1}, "cache format version"),
-        (lambda c: {**c, "store_format_version": -1}, "store format version"),
-        (lambda c: {**c, "results_offset": "oops"}, "malformed cache offset"),
-        (lambda c: {**c, "points": None}, "malformed cache points"),
-        # Structurally valid JSON whose slots lost required fields (disk
-        # corruption, hand edits) must invalidate too, not crash assembly.
-        (lambda c: {**c, "points": {"s1": {"0": {}}}}, "malformed cache points"),
-        (
-            lambda c: {**c, "points": {"s1": {"0": {"utilization": "x"}}}},
-            "malformed cache points",
-        ),
-    ],
-)
-def test_cache_invalidation_rules(finished_store, tmp_path, mutate, reason_fragment):
-    store = copy_store(finished_store, tmp_path)
-    aggregate_store(store, use_cache=True)  # warm the cache
-    cache_path = os.path.join(store, CACHE_NAME)
-    with open(cache_path) as handle:
-        cache = json.load(handle)
-    with open(cache_path, "w") as handle:
-        json.dump(mutate(cache), handle)
-
-    rebuilt = aggregate_store(store, use_cache=True)
-    assert not rebuilt.cache_stats.hit
-    assert reason_fragment in rebuilt.cache_stats.miss_reason
-    assert rebuilt.cache_stats.units_folded == CAMPAIGN_UNITS
-    # The rebuild repaired the cache on disk.
-    assert aggregate_store(store, use_cache=True).cache_stats.hit
-
-
-def test_cache_rejects_shrunken_results_file(finished_store, tmp_path):
-    store = copy_store(finished_store, tmp_path)
-    aggregate_store(store, use_cache=True)
-    results = os.path.join(store, "results.jsonl")
-    with open(results, "rb") as handle:
-        lines = handle.readlines()
-    with open(results, "wb") as handle:
-        handle.writelines(lines[:2])
-
-    rebuilt = aggregate_store(store, use_cache=True)
-    assert not rebuilt.cache_stats.hit
-    assert "shrank" in rebuilt.cache_stats.miss_reason
-    assert rebuilt.cache_stats.units_folded == 2
-
-
-def test_unreadable_cache_file_is_rebuilt(finished_store, tmp_path):
-    store = copy_store(finished_store, tmp_path)
-    aggregate_store(store, use_cache=True)
-    with open(os.path.join(store, CACHE_NAME), "w") as handle:
-        handle.write("{not json")
-    rebuilt = aggregate_store(store, use_cache=True)
-    assert not rebuilt.cache_stats.hit
-    assert rebuilt.cache_stats.units_folded == CAMPAIGN_UNITS
-
-
-def test_unwritable_cache_degrades_to_uncached_aggregation(
-    finished_store, tmp_path, monkeypatch
-):
-    store = copy_store(finished_store, tmp_path)
-
-    def refuse(self, *args, **kwargs):
-        raise PermissionError("read-only store")
-
-    monkeypatch.setattr(StoreAggregator, "_write_cache", refuse)
-    aggregate = aggregate_store(store, use_cache=True)  # must not raise
-    assert aggregate.complete
-    assert aggregate.cache_stats.units_folded == CAMPAIGN_UNITS
-    assert not os.path.exists(os.path.join(store, CACHE_NAME))
-
-
-def test_cache_path_lives_inside_the_store(finished_store):
-    aggregator = StoreAggregator(finished_store)
-    assert aggregator.cache_path == os.path.join(finished_store, CACHE_NAME)
-
-
-# --------------------------------------------------------------------------- #
 # Store streaming
 # --------------------------------------------------------------------------- #
-def test_iter_records_offsets_resume_exactly(finished_store):
-    store = CampaignStore(finished_store)
-    full = list(store.iter_records())
-    assert len(full) == CAMPAIGN_UNITS
-    assert full[-1][1] == store.results_size()
-    # Restarting from any yielded offset returns exactly the remainder.
-    for index, (_, offset) in enumerate(full):
-        tail = list(store.iter_records(start_offset=offset))
-        assert [r["unit_id"] for r, _ in tail] == [
-            r["unit_id"] for r, _ in full[index + 1 :]
-        ]
-
-
 def test_iter_records_does_not_advance_past_a_torn_line(finished_store, tmp_path):
     store_dir = copy_store(finished_store, tmp_path)
     store = CampaignStore(store_dir)
-    complete_size = store.results_size()
     with open(store.results_path, "a") as handle:
         handle.write('{"unit_id": "torn')  # no newline: a killed writer
 
     records = list(store.iter_records())
     assert len(records) == CAMPAIGN_UNITS
-    assert records[-1][1] == complete_size  # offset stops before the torn line
+    assert all(record["unit_id"] != "torn" for record in records)
     assert len(store.load_records()) == CAMPAIGN_UNITS

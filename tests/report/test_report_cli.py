@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import json
 import os
+import shutil
 
 from repro.campaign import cli
-from repro.report.aggregate import CACHE_NAME
+from repro.campaign.store import CampaignStore
+from repro.report.aggregate import aggregate_store
 
 
 def run_cli(*argv):
@@ -14,15 +17,13 @@ def run_cli(*argv):
 
 def test_report_renders_bundle_with_zero_reruns(finished_store, tmp_path, capsys):
     out = str(tmp_path / "out")
-    assert run_cli("report", "--store", finished_store, "--out", out, "--no-cache") == 0
+    assert run_cli("report", "--store", finished_store, "--out", out) == 0
     stdout = capsys.readouterr().out
     assert "2 scenario series + REPORT.md + report.html" in stdout
     assert sorted(os.listdir(out)) == ["REPORT.md", "report.html", "series"]
     assert len(os.listdir(os.path.join(out, "series"))) == 2
     with open(os.path.join(out, "REPORT.md")) as handle:
         assert "# Campaign report" in handle.read()
-    # --no-cache left the store untouched.
-    assert not os.path.exists(os.path.join(finished_store, CACHE_NAME))
 
 
 def test_report_defaults_to_store_subdirectory(tmp_path, run_campaign, capsys):
@@ -33,16 +34,59 @@ def test_report_defaults_to_store_subdirectory(tmp_path, run_campaign, capsys):
     assert os.path.isfile(os.path.join(store, "report", "report.html"))
 
 
-def test_second_report_hits_the_aggregation_cache(tmp_path, run_campaign, capsys):
+def _snapshot(directory):
+    """Every file under ``directory``, by relative path, with its bytes."""
+    files = {}
+    for root, _, names in os.walk(directory):
+        for name in names:
+            path = os.path.join(root, name)
+            with open(path, "rb") as handle:
+                files[os.path.relpath(path, directory)] = handle.read()
+    return files
+
+
+def test_report_leaves_the_store_untouched_and_first_record_wins(
+    finished_store, tmp_path, capsys
+):
     store = str(tmp_path / "store")
+    shutil.copytree(finished_store, store)
+    results = os.path.join(store, "results.jsonl")
+    with open(results) as handle:
+        first = json.loads(handle.readline())
+    # A later duplicate of the first unit (it must lose), a malformed
+    # line, and the torn tail of a killed writer.
+    duplicate = dict(
+        first,
+        evaluated=first["evaluated"] + 7,
+        accepted={name: first["evaluated"] + 7 for name in first["accepted"]},
+    )
+    with open(results, "a") as handle:
+        handle.write(json.dumps(duplicate) + "\n")
+        handle.write("{not json\n")
+        handle.write('{"unit_id": "torn')
+    before = _snapshot(store)
+
     out = str(tmp_path / "out")
-    assert run_campaign(store) == 0
     assert run_cli("report", "--store", store, "--out", out) == 0
-    first = capsys.readouterr().out
-    assert "aggregation cache: miss [cold] (4 units folded" in first
-    assert run_cli("report", "--store", store, "--out", out) == 0
-    second = capsys.readouterr().out
-    assert "aggregation cache: hit (4 units cached, 0 folded" in second
+    capsys.readouterr()
+    assert _snapshot(store) == before  # the bundle went to --out only
+
+    records = CampaignStore(store).load_records()
+    assert records[first["unit_id"]] == first
+    aggregate = aggregate_store(store)
+    reports = {report.scenario.scenario_id: report for report in aggregate.scenarios}
+    assert aggregate.completed_units == len(records)
+    for record in records.values():
+        index = record["point_index"]
+        sweep = reports[record["scenario_id"]].sweep
+        for name in aggregate.protocols:
+            curve = sweep.curves[name]
+            assert curve.utilizations[index] == record["utilization"]
+            assert curve.accepted[index] == record["accepted"][name]
+            assert curve.sampled[index] == record["evaluated"]
+            assert (
+                curve.generation_failures[index] == record["generation_failures"]
+            )
 
 
 def test_report_on_partial_store_is_watch_friendly(tmp_path, run_campaign, capsys):
@@ -70,7 +114,7 @@ def test_report_protocol_restriction_and_validation(finished_store, tmp_path, ca
     assert (
         run_cli(
             "report", "--store", finished_store, "--out", out,
-            "--no-cache", "--protocols", "FED-FP",
+            "--protocols", "FED-FP",
         )
         == 0
     )
@@ -84,7 +128,7 @@ def test_report_protocol_restriction_and_validation(finished_store, tmp_path, ca
     assert (
         run_cli(
             "report", "--store", finished_store, "--out", out,
-            "--no-cache", "--protocols", "LPP",
+            "--protocols", "LPP",
         )
         == 2
     )

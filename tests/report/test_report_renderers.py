@@ -80,7 +80,7 @@ def test_svg_chart_escapes_title():
 # HTML / Markdown over a real store
 # --------------------------------------------------------------------------- #
 def test_html_report_contains_grid_and_tables(finished_store):
-    aggregate = aggregate_store(finished_store, use_cache=False)
+    aggregate = aggregate_store(finished_store)
     html = render_html_report(aggregate)
     assert html.startswith("<!DOCTYPE html>")
     assert html.count("<svg") == 2  # one chart per complete scenario
@@ -94,7 +94,7 @@ def test_html_report_contains_grid_and_tables(finished_store):
 def test_html_report_lists_incomplete_scenarios(tmp_path, run_campaign):
     store = str(tmp_path / "store")
     assert run_campaign(store, "--max-units", "3") == 3
-    aggregate = aggregate_store(store, use_cache=False)
+    aggregate = aggregate_store(store)
     html = render_html_report(aggregate)
     assert "Campaign incomplete" in html
     assert "Incomplete scenarios (1)" in html
@@ -102,7 +102,7 @@ def test_html_report_lists_incomplete_scenarios(tmp_path, run_campaign):
 
 
 def test_markdown_report_restricts_protocols(finished_store):
-    aggregate = aggregate_store(finished_store, use_cache=False)
+    aggregate = aggregate_store(finished_store)
     text = render_markdown_report(aggregate, protocols=["FED-FP"])
     assert "| FED-FP |" in text
     # The per-scenario series tables only carry the selected protocol.
@@ -113,13 +113,13 @@ def test_markdown_report_restricts_protocols(finished_store):
 # Golden files (fixed-seed campaign -> byte-stable deliverables)
 # --------------------------------------------------------------------------- #
 def test_markdown_report_matches_golden(finished_store):
-    aggregate = aggregate_store(finished_store, use_cache=False)
+    aggregate = aggregate_store(finished_store)
     with open(os.path.join(GOLDEN_DIR, "REPORT.md")) as handle:
         assert render_markdown_report(aggregate) == handle.read()
 
 
 def test_series_csv_matches_golden(finished_store):
-    aggregate = aggregate_store(finished_store, use_cache=False)
+    aggregate = aggregate_store(finished_store)
     report = aggregate.complete_reports()[0]
     golden = os.path.join(GOLDEN_DIR, f"{report.scenario.scenario_id}.csv")
     with open(golden, newline="") as handle:
@@ -130,7 +130,7 @@ def test_series_csv_matches_golden(finished_store):
 # One aggregation path: single-sweep CSV == grid-report CSV, byte for byte
 # --------------------------------------------------------------------------- #
 def test_bundle_csv_is_byte_identical_to_single_sweep_csv(finished_store, tmp_path):
-    aggregate = aggregate_store(finished_store, use_cache=False)
+    aggregate = aggregate_store(finished_store)
     bundle = write_report_bundle(aggregate, str(tmp_path / "out"))
     assert os.path.isfile(bundle.report_md)
     assert os.path.isfile(bundle.report_html)
@@ -149,7 +149,7 @@ def test_bundle_csv_is_byte_identical_to_single_sweep_csv(finished_store, tmp_pa
 
 
 def test_failed_render_never_clobbers_an_existing_bundle(finished_store, tmp_path):
-    aggregate = aggregate_store(finished_store, use_cache=False)
+    aggregate = aggregate_store(finished_store)
     out = str(tmp_path / "out")
     bundle = write_report_bundle(aggregate, out)
     before = {path: open(path).read() for path in bundle.paths}

@@ -3,8 +3,8 @@
 The ``simulate_store`` fixture runs the fixed-seed four-scenario validation
 campaign from ``conftest.SIM_CAMPAIGN_FLAGS`` through the real CLI; these
 tests pin the acceptance criteria of the validation subsystem — zero
-soundness violations, a byte-deterministic bound-tightness report, and
-cache-transparent aggregation of the simulation evidence.
+soundness violations and a byte-deterministic bound-tightness report that
+re-renders identically from the same store.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ SIM_CAMPAIGN_UNITS = 16
 # Aggregation
 # --------------------------------------------------------------------------- #
 def test_simulate_store_aggregates_validation_evidence(simulate_store):
-    aggregate = aggregate_store(simulate_store, use_cache=False)
+    aggregate = aggregate_store(simulate_store)
     assert aggregate.mode == "simulate"
     assert aggregate.complete
     assert aggregate.completed_units == SIM_CAMPAIGN_UNITS
@@ -49,7 +49,7 @@ def test_simulate_store_aggregates_validation_evidence(simulate_store):
 def test_simulate_campaign_is_sound_zero_violations(simulate_store):
     """Acceptance criterion: no ME violations, no deadline misses, no
     observed-over-bound overflows among analysis-accepted task sets."""
-    aggregate = aggregate_store(simulate_store, use_cache=False)
+    aggregate = aggregate_store(simulate_store)
     totals = aggregate.validation_totals()
     assert set(totals) == {"DPCP-p-EP", "DPCP-p-EN", "SPIN", "LPP"}
     for protocol, rollup in totals.items():
@@ -67,7 +67,7 @@ def test_simulate_campaign_is_sound_zero_violations(simulate_store):
 def test_event_budget_truncation_is_recorded_not_fatal(simulate_store):
     # The fixture's event budget deliberately truncates at least one run;
     # the campaign still completes and the truncation is accounted for.
-    aggregate = aggregate_store(simulate_store, use_cache=False)
+    aggregate = aggregate_store(simulate_store)
     truncated = sum(
         rollup.truncated for rollup in aggregate.validation_totals().values()
     )
@@ -75,7 +75,7 @@ def test_event_budget_truncation_is_recorded_not_fatal(simulate_store):
 
 
 def test_analyze_store_has_no_validation_evidence(finished_store):
-    aggregate = aggregate_store(finished_store, use_cache=False)
+    aggregate = aggregate_store(finished_store)
     assert aggregate.mode == "analyze"
     assert aggregate.validation_totals() == {}
     assert all(report.validation is None for report in aggregate.scenarios)
@@ -85,13 +85,13 @@ def test_analyze_store_has_no_validation_evidence(finished_store):
 # Renderers
 # --------------------------------------------------------------------------- #
 def test_simulate_markdown_report_matches_golden(simulate_store):
-    aggregate = aggregate_store(simulate_store, use_cache=False)
+    aggregate = aggregate_store(simulate_store)
     with open(os.path.join(GOLDEN_DIR, "REPORT_simulate.md")) as handle:
         assert render_markdown_report(aggregate) == handle.read()
 
 
 def test_simulate_markdown_report_carries_the_tightness_table(simulate_store):
-    aggregate = aggregate_store(simulate_store, use_cache=False)
+    aggregate = aggregate_store(simulate_store)
     text = render_markdown_report(aggregate)
     assert "## Bound tightness (observed / analytical WCRT)" in text
     assert "| **all** | DPCP-p-EP |" in text
@@ -101,12 +101,12 @@ def test_simulate_markdown_report_carries_the_tightness_table(simulate_store):
 
 
 def test_analyze_markdown_report_has_no_tightness_table(finished_store):
-    aggregate = aggregate_store(finished_store, use_cache=False)
+    aggregate = aggregate_store(finished_store)
     assert "Bound tightness" not in render_markdown_report(aggregate)
 
 
 def test_simulate_html_report_embeds_the_tightness_panel(simulate_store):
-    aggregate = aggregate_store(simulate_store, use_cache=False)
+    aggregate = aggregate_store(simulate_store)
     html = render_html_report(aggregate)
     assert "Bound tightness (observed / analytical WCRT)" in html
     assert 'class="tightness-panel"' in html
@@ -128,29 +128,19 @@ def test_tightness_panel_handles_empty_distributions():
 
 
 # --------------------------------------------------------------------------- #
-# Cache transparency and the CLI summary line
+# Re-reporting and the CLI summary line
 # --------------------------------------------------------------------------- #
-def test_simulation_evidence_survives_the_aggregation_cache(
+def test_second_report_renders_identical_markdown_equal_to_golden(
     simulate_store, tmp_path, capsys
 ):
-    # First report folds cold and writes the cache into a copied store;
-    # the second must hit the cache and render byte-identical Markdown.
-    import shutil
-
-    store = str(tmp_path / "store")
-    shutil.copytree(simulate_store, store)
-    out = str(tmp_path / "out")
-    assert cli.main(["report", "--store", store, "--out", out]) == 0
-    first = capsys.readouterr().out
-    assert "aggregation cache: miss [cold]" in first
-    assert "validation:" in first and "0 soundness violation(s)" in first
-    with open(os.path.join(out, "REPORT.md")) as handle:
-        cold = handle.read()
-
-    assert cli.main(["report", "--store", store, "--out", out]) == 0
-    second = capsys.readouterr().out
-    assert "aggregation cache: hit" in second
-    with open(os.path.join(out, "REPORT.md")) as handle:
-        assert handle.read() == cold
+    renders = []
+    for run in ("first", "second"):
+        out = str(tmp_path / run)
+        assert cli.main(["report", "--store", simulate_store, "--out", out]) == 0
+        stdout = capsys.readouterr().out
+        assert "validation:" in stdout and "0 soundness violation(s)" in stdout
+        with open(os.path.join(out, "REPORT.md")) as handle:
+            renders.append(handle.read())
+    assert renders[1] == renders[0]
     with open(os.path.join(GOLDEN_DIR, "REPORT_simulate.md")) as handle:
-        assert cold == handle.read()
+        assert renders[0] == handle.read()
