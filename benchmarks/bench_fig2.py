@@ -19,13 +19,8 @@ import os
 
 import pytest
 
-from repro.experiments import (
-    SweepConfig,
-    figure2_scenarios,
-    render_series_table,
-    run_sweep,
-    series_to_csv,
-)
+from repro.experiments import SweepConfig, figure2_scenarios, run_sweep
+from repro.report import render_series_table, series_csv
 
 from _bench_utils import emit
 
@@ -65,7 +60,7 @@ def _check_and_emit(panel: str, result, results_dir):
     )
     emit(os.path.join(results_dir, f"fig2{panel}.txt"), table)
     with open(os.path.join(results_dir, f"fig2{panel}.csv"), "w") as handle:
-        handle.write(series_to_csv(result))
+        handle.write(series_csv(result))
 
 
 @pytest.mark.parametrize("panel", PANELS)

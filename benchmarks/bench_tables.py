@@ -19,10 +19,9 @@ from repro.experiments import (
     SweepConfig,
     full_grid,
     pairwise_statistics,
-    render_dominance_table,
-    render_outperformance_table,
     run_campaign,
 )
+from repro.report import render_dominance_table, render_outperformance_table
 
 from _bench_utils import emit
 

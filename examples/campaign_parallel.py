@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Campaign quickstart: run → interrupt → resume → export on a reduced grid.
+"""Campaign quickstart: run → interrupt → resume → report on a reduced grid.
 
 Demonstrates the campaign engine (see EXPERIMENTS.md, "Running campaigns")
 end to end, entirely through the same entry points the
@@ -9,7 +9,8 @@ end to end, entirely through the same entry points the
    (simulating an interrupted run — Ctrl-C, kill, power loss);
 2. show that the completed work units are checkpointed in the store;
 3. resume with two worker processes — finished units are *not* re-executed;
-4. export CSV series and the dominance/outperformance tables.
+4. render the report bundle — ``REPORT.md`` (with the dominance and
+   outperformance tables), ``report.html`` and one CSV series per scenario.
 
 Run with:  PYTHONPATH=src python examples/campaign_parallel.py
 """
@@ -45,11 +46,12 @@ def main() -> None:
     print("\n=== 3. resume with 2 workers (finished units are skipped) ===")
     cli.main(["resume", "--store", store, "--workers", "2", "--quiet"])
 
-    print("\n=== 4. export figures/tables from the store ===")
-    export_dir = os.path.join(store, "export")
-    cli.main(["export", "--store", store, "--out", export_dir])
-    for name in sorted(os.listdir(export_dir)):
-        print(f"  {export_dir}/{name}")
+    print("\n=== 4. render the report bundle from the store ===")
+    report_dir = os.path.join(store, "report")
+    cli.main(["report", "--store", store, "--out", report_dir])
+    for root, _, names in sorted(os.walk(report_dir)):
+        for name in sorted(names):
+            print(f"  {os.path.join(root, name)}")
 
     print("\n(deleting the demo store)")
     shutil.rmtree(os.path.dirname(store))

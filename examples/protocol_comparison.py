@@ -15,11 +15,10 @@ from repro.experiments import (
     Scenario,
     SweepConfig,
     pairwise_statistics,
-    render_dominance_table,
-    render_outperformance_table,
     run_campaign,
     weighted_acceptance,
 )
+from repro.report import render_dominance_table, render_outperformance_table
 
 
 def scenarios() -> list:

@@ -15,14 +15,8 @@ from __future__ import annotations
 
 import os
 
-from repro.experiments import (
-    SweepConfig,
-    figure2_scenarios,
-    render_ascii_plot,
-    render_series_table,
-    run_sweep,
-    write_series_csv,
-)
+from repro.experiments import SweepConfig, figure2_scenarios, run_sweep
+from repro.report import render_ascii_plot, render_series_table, series_csv
 
 
 def main() -> None:
@@ -42,7 +36,8 @@ def main() -> None:
     print(render_ascii_plot(result))
 
     target = os.path.join(os.path.dirname(__file__), "fig2a_example.csv")
-    write_series_csv(result, target)
+    with open(target, "w", newline="") as handle:
+        handle.write(series_csv(result))
     print(f"\nSeries written to {target}")
 
 

@@ -8,12 +8,14 @@ The package is organised as follows:
 * :mod:`repro.analysis` — DPCP-p (EP/EN) schedulability analysis plus the
   SPIN, LPP, and FED-FP baselines, and the classic DPCP for sequential tasks.
 * :mod:`repro.sim` — discrete-event simulator of the DPCP-p runtime protocol.
-* :mod:`repro.experiments` — the schedulability experiment harness that
-  regenerates the paper's Fig. 2 and Tables 2–3.
+* :mod:`repro.experiments` — the schedulability experiment harness:
+  scenarios, sweeps, and the metrics behind the paper's Fig. 2 and
+  Tables 2–3.
 * :mod:`repro.campaign` — parallel, resumable scenario-grid campaigns with
   an on-disk checkpoint store and CLI (``python -m repro.campaign``).
-* :mod:`repro.report` — store aggregation (cached, incremental) and the
-  zero-dependency figure/table renderers (``REPORT.md``, ``report.html``).
+* :mod:`repro.report` — stateless store aggregation and the
+  zero-dependency figure/table renderers (``REPORT.md``, ``report.html``,
+  per-scenario CSVs).
 """
 
 from .analysis import (

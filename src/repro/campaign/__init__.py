@@ -15,7 +15,6 @@ from .executor import (
     assemble_sweep,
     build_protocols,
     execute_plan,
-    execute_simulation_unit,
     execute_unit,
     execute_units,
     plan_runner,
@@ -47,7 +46,6 @@ __all__ = [
     "assemble_sweep",
     "build_protocols",
     "execute_plan",
-    "execute_simulation_unit",
     "execute_unit",
     "execute_units",
     "plan_runner",

@@ -7,7 +7,6 @@
     python -m repro.campaign status --store DIR
     python -m repro.campaign merge  --into DIR SHARD_DIR [SHARD_DIR ...]
     python -m repro.campaign report --store DIR [--out DIR]
-    python -m repro.campaign export --store DIR [--out DIR]
 
 ``run`` plans a campaign, writes the manifest, and executes it; re-running
 against an existing store with the same configuration simply resumes it,
@@ -20,8 +19,8 @@ shard, possibly one host per shard); ``merge`` recombines any set of
 partial shard stores into one store the other commands consume unchanged.
 ``resume`` needs no configuration flags at all — everything is recovered
 from the manifest.  ``report`` renders the full deliverable bundle
-(``REPORT.md``, ``report.html``, per-scenario CSVs) from the store through
-the cached reporting aggregator — zero analysis re-runs.  Exit codes are
+(``REPORT.md``, ``report.html``, per-scenario CSVs) from the store in one
+stateless pass — zero analysis re-runs.  Exit codes are
 watch-friendly: 0 = complete report, 3 = incomplete campaign or
 quarantined units (partial report written; poll/resume and re-run),
 2 = error.  Fault handling — per-unit retry/quarantine, pool respawn,
@@ -349,19 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="A,B,...",
         help="restrict/order the reported protocols (default: the campaign's)",
-    )
-
-    export = commands.add_parser(
-        "export", help="render CSV series and tables from a store"
-    )
-    add_store(export)
-    export.add_argument(
-        "--out", default=None, help="output directory (default: <store>/export)"
-    )
-    export.add_argument(
-        "--strict",
-        action="store_true",
-        help="fail instead of skipping scenarios with incomplete sweeps",
     )
     return parser
 
@@ -726,44 +712,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_export(args: argparse.Namespace) -> int:
-    import os
-
-    from ..experiments.figures import load_sweep_results, write_series_csv
-    from ..experiments.runner import pairwise_statistics
-    from ..experiments.tables import (
-        render_dominance_table,
-        render_outperformance_table,
-    )
-
-    results = load_sweep_results(args.store, allow_partial=not args.strict)
-    if not results:
-        print("no completed scenario sweeps to export yet", file=sys.stderr)
-        return 2
-    out_dir = args.out or os.path.join(args.store, "export")
-    os.makedirs(out_dir, exist_ok=True)
-    for result in results:
-        path = os.path.join(out_dir, f"{result.scenario.scenario_id}.csv")
-        write_series_csv(result, path)
-    written = [f"{len(results)} series CSVs"]
-    if len(results[0].protocols) >= 2:
-        stats = pairwise_statistics(results)
-        tables_path = os.path.join(out_dir, "tables.txt")
-        with open(tables_path, "w") as handle:
-            handle.write(render_dominance_table(stats) + "\n\n")
-            handle.write(render_outperformance_table(stats) + "\n")
-        written.append("tables.txt")
-    skipped = None
-    manifest = CampaignStore(args.store).read_manifest()
-    if len(results) < len(manifest["scenarios"]):
-        skipped = len(manifest["scenarios"]) - len(results)
-    print(f"exported {' + '.join(written)} to {out_dir}")
-    if skipped:
-        print(f"skipped {skipped} incomplete scenario(s) — resume the campaign "
-              "to complete them")
-    return 0
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = build_parser()
@@ -776,7 +724,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "merge": _cmd_merge,
         "profile": _cmd_profile,
         "report": _cmd_report,
-        "export": _cmd_export,
     }
     try:
         return handlers[args.command](args)

@@ -302,15 +302,15 @@ def _evaluate_samples(
     result: UnitResult,
     on_accepted=None,
 ) -> None:
-    """The one generation/analysis loop behind both unit runners.
+    """The generation/analysis loop of :func:`execute_unit`.
 
     Draws the unit's samples (streams spawned from the unit's own seed,
     reproducing exactly the generators the serial sweep would have used),
     applies every protocol, and counts acceptances into ``result``.
     ``on_accepted(test, verdict)`` is invoked for every schedulable
-    verdict — the simulate runner's validation hook.  Keeping this loop
-    single-sourced is what makes the two modes' acceptance counts
-    *identical by construction*, not merely by test.
+    verdict — the simulate mode's validation hook.  Both modes run this
+    one loop, which is what makes their acceptance counts *identical by
+    construction*, not merely by test.
 
     With an active telemetry session the loop times its phases
     (``phase.generation``, ``phase.analysis``, ``phase.simulation``) and
@@ -366,12 +366,24 @@ def _evaluate_samples(
 def execute_unit(
     unit: WorkUnit,
     protocols: Sequence[SchedulabilityTest],
+    sim_config: Optional[SimulationConfig] = None,
     telemetry: bool = False,
 ) -> UnitResult:
     """Execute one work unit: generate the samples and apply every protocol.
 
     The sample streams are spawned from the unit's own seed, reproducing
     exactly the generators the serial sweep would have used for this point.
+
+    With a ``sim_config`` the unit is a *validation* unit: generation and
+    analysis are unchanged (same seeds, same acceptance counts), and every
+    analysis-accepted task set is additionally run through the runtime
+    simulator — under the *accepting protocol's* locking rules (DPCP-p,
+    SPIN or LPP) — on the partition the analysis produced.  The
+    observed/bound response-time ratios, deadline misses, invariant
+    counters, and truncation outcomes are folded into one
+    :class:`~repro.experiments.metrics.ValidationRollup` per protocol in
+    :attr:`UnitResult.simulation`.
+
     With ``telemetry=True`` the unit runs inside its own
     :func:`repro.obs.telemetry.session` and its aggregated snapshot travels
     back in :attr:`UnitResult.telemetry` (never in the store record).
@@ -384,61 +396,28 @@ def execute_unit(
         utilization=unit.utilization,
         accepted={test.name: 0 for test in protocols},
     )
-    if telemetry:
-        with _telemetry_session() as tel:
-            _evaluate_samples(unit, protocols, result)
-            result.telemetry = tel.to_dict()
-    else:
-        _evaluate_samples(unit, protocols, result)
-    result.elapsed_seconds = time.perf_counter() - started
-    return result
+    validate = None
+    if sim_config is not None:
+        result.simulation = {test.name: ValidationRollup() for test in protocols}
 
-
-def execute_simulation_unit(
-    unit: WorkUnit,
-    protocols: Sequence[SchedulabilityTest],
-    sim_config: Optional[SimulationConfig] = None,
-    telemetry: bool = False,
-) -> UnitResult:
-    """Execute one *validation* work unit: analyze, then simulate acceptances.
-
-    Sample generation and the analysis pass are identical to
-    :func:`execute_unit` (same seeds, same acceptance counts).  Every
-    analysis-accepted task set is additionally run through the runtime
-    simulator — under the *accepting protocol's* locking rules (DPCP-p,
-    SPIN or LPP) — on the partition the analysis produced, and the
-    observed/bound response-time ratios, deadline misses, invariant
-    counters, and truncation outcomes are folded into one
-    :class:`~repro.experiments.metrics.ValidationRollup` per protocol.
-    ``telemetry`` behaves exactly as in :func:`execute_unit`.
-    """
-    sim_config = sim_config or SimulationConfig()
-    started = time.perf_counter()
-    result = UnitResult(
-        unit_id=unit.unit_id,
-        scenario_id=unit.scenario.scenario_id,
-        point_index=unit.point_index,
-        utilization=unit.utilization,
-        accepted={test.name: 0 for test in protocols},
-        simulation={test.name: ValidationRollup() for test in protocols},
-    )
-
-    def validate(test, verdict) -> None:
-        rollup = result.simulation[test.name]
-        outcome = validate_partition(verdict.partition, sim_config, protocol=test.name)
-        rollup.simulated += 1
-        if outcome.status == STATUS_TRUNCATED:
-            rollup.truncated += 1
-        elif outcome.status == STATUS_RULE_ERROR:
-            rollup.rule_failures += 1
-        rollup.mutual_exclusion_violations += outcome.mutual_exclusion_violations
-        rollup.processor_overlaps += outcome.processor_overlaps
-        rollup.spin_exclusivity_violations += outcome.spin_exclusivity_violations
-        rollup.deadline_misses += outcome.deadline_misses
-        rollup.jobs_finished += outcome.jobs_finished
-        rollup.events += outcome.events
-        for task_id, observed in sorted(outcome.observed_response_times.items()):
-            rollup.ratio.add(observed / verdict.task_analyses[task_id].wcrt)
+        def validate(test, verdict) -> None:
+            rollup = result.simulation[test.name]
+            outcome = validate_partition(
+                verdict.partition, sim_config, protocol=test.name
+            )
+            rollup.simulated += 1
+            if outcome.status == STATUS_TRUNCATED:
+                rollup.truncated += 1
+            elif outcome.status == STATUS_RULE_ERROR:
+                rollup.rule_failures += 1
+            rollup.mutual_exclusion_violations += outcome.mutual_exclusion_violations
+            rollup.processor_overlaps += outcome.processor_overlaps
+            rollup.spin_exclusivity_violations += outcome.spin_exclusivity_violations
+            rollup.deadline_misses += outcome.deadline_misses
+            rollup.jobs_finished += outcome.jobs_finished
+            rollup.events += outcome.events
+            for task_id, observed in sorted(outcome.observed_response_times.items()):
+                rollup.ratio.add(observed / verdict.task_analyses[task_id].wcrt)
 
     if telemetry:
         with _telemetry_session() as tel:
@@ -465,8 +444,8 @@ def plan_runner(plan: CampaignPlan, telemetry: bool = False) -> UnitRunner:
     """
     if plan.mode == MODE_SIMULATE:
         return functools.partial(
-            execute_simulation_unit,
-            sim_config=plan.sim_config,
+            execute_unit,
+            sim_config=plan.sim_config or SimulationConfig(),
             telemetry=telemetry,
         )
     if telemetry:
@@ -956,7 +935,7 @@ def execute_plan(
     """Execute every unit of a planned campaign (see :func:`execute_units`).
 
     The unit runner follows the plan's mode: simulate-mode plans run every
-    unit through :func:`execute_simulation_unit` with the plan's
+    unit through :func:`execute_unit` with the plan's
     :class:`~repro.sim.validation.SimulationConfig`.  ``telemetry`` turns
     on per-unit telemetry aggregation and ``events`` receives the unit
     lifecycle events — both strictly out-of-band (``results.jsonl`` bytes

@@ -1,14 +1,9 @@
-"""Schedulability experiment harness (Sec. VII): sweeps, figures, tables."""
+"""Schedulability experiment harness (Sec. VII): scenarios, sweeps, metrics.
 
-from .figures import (
-    FIGURE_PROTOCOLS,
-    acceptance_series,
-    load_sweep_results,
-    render_ascii_plot,
-    render_series_table,
-    series_to_csv,
-    write_series_csv,
-)
+Rendering the paper's Fig. 2 and Tables 2–3 from sweep results or a
+campaign store is :mod:`repro.report`'s job; this package never imports it.
+"""
+
 from .metrics import (
     PairwiseStatistics,
     SweepCurve,
@@ -36,23 +31,8 @@ from .scenarios import (
     figure2_scenarios,
     full_grid,
 )
-from .tables import (
-    TABLE_PROTOCOLS,
-    load_pairwise_statistics,
-    render_dominance_table,
-    render_outperformance_table,
-    table_rows,
-)
 
 __all__ = [
-    "FIGURE_PROTOCOLS",
-    "acceptance_series",
-    "load_sweep_results",
-    "load_pairwise_statistics",
-    "render_ascii_plot",
-    "render_series_table",
-    "series_to_csv",
-    "write_series_csv",
     "PairwiseStatistics",
     "SweepCurve",
     "TightnessStats",
@@ -74,8 +54,4 @@ __all__ = [
     "Scenario",
     "figure2_scenarios",
     "full_grid",
-    "TABLE_PROTOCOLS",
-    "render_dominance_table",
-    "render_outperformance_table",
-    "table_rows",
 ]

@@ -7,23 +7,31 @@ The pipeline is ``store → aggregate → render``:
   the work-unit records into per-scenario sweep curves and cross-scenario
   rollups (statelessly: reporting never writes to the store);
 * :mod:`repro.report.series` assembles per-sweep acceptance rows — the one
-  code path shared with the single-sweep helpers in
-  :mod:`repro.experiments.figures`;
+  code path every renderer reads — and renders one sweep as CSV, a
+  plain-text table, or an ASCII plot;
 * :mod:`repro.report.svg`, :mod:`repro.report.html`, and
   :mod:`repro.report.markdown` render the Fig.-2 curve grid and the
-  Sec.-VII summary tables with zero plotting dependencies;
+  Sec.-VII summary tables (Tables 2–3) with zero plotting dependencies;
 * :mod:`repro.report.bundle` writes the whole deliverable set
   (``REPORT.md``, ``report.html``, per-scenario CSVs) into one directory.
 
 The CLI front-end is ``python -m repro.campaign report --store DIR``.
+This package builds on :mod:`repro.experiments` (sweep results, metrics);
+that package never imports this one.
 """
 
 from .aggregate import ScenarioReport, StoreAggregate, aggregate_store
 from .bundle import ReportBundle, write_report_bundle
 from .html import render_html_report
-from .markdown import render_markdown_report
+from .markdown import (
+    TABLE_PROTOCOLS,
+    render_dominance_table,
+    render_markdown_report,
+    render_outperformance_table,
+)
 from .series import (
-    DEFAULT_PROTOCOL_ORDER,
+    render_ascii_plot,
+    render_series_table,
     resolve_protocols,
     series_csv,
     series_rows,
@@ -37,8 +45,12 @@ __all__ = [
     "ReportBundle",
     "write_report_bundle",
     "render_html_report",
+    "TABLE_PROTOCOLS",
+    "render_dominance_table",
     "render_markdown_report",
-    "DEFAULT_PROTOCOL_ORDER",
+    "render_outperformance_table",
+    "render_ascii_plot",
+    "render_series_table",
     "resolve_protocols",
     "series_csv",
     "series_rows",

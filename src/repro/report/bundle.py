@@ -8,9 +8,10 @@ into::
         report.html          # self-contained HTML with inline-SVG curve grid
         series/<id>.csv      # one acceptance-ratio CSV per complete scenario
 
-The CSVs go through :func:`repro.report.series.series_csv` — the same
-writer the single-sweep helper ``repro.experiments.series_to_csv`` uses —
-so a scenario's CSV is byte-identical whichever path produced it.
+The CSVs go through :func:`repro.report.series.series_csv`; callers that
+hold a single :class:`~repro.experiments.runner.SweepResult` (examples,
+benchmarks) use the same function, so their CSVs match the bundle's byte
+for byte.
 """
 
 from __future__ import annotations

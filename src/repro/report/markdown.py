@@ -3,6 +3,12 @@
 The Markdown output is deterministic for a given store — scenario sections
 follow plan order, no timestamps or absolute paths appear — so a
 fixed-seed campaign pins it byte-for-byte in a golden-file test.
+
+The paper's Tables 2 and 3 are rendered here as plain text
+(:func:`render_dominance_table`, :func:`render_outperformance_table`): for
+every ordered protocol pair (row, column), in how many scenarios the row
+protocol dominates / outperforms the column protocol, as an absolute count
+and as a percentage of the scenarios.
 """
 
 from __future__ import annotations
@@ -11,11 +17,12 @@ import math
 from typing import List, Optional, Sequence
 
 from ..campaign.planner import MODE_SIMULATE
-from ..experiments.figures import render_ascii_plot, render_series_table
-from ..experiments.metrics import ValidationRollup
-from ..experiments.tables import render_dominance_table, render_outperformance_table
+from ..experiments.metrics import PairwiseStatistics, ValidationRollup
 from .aggregate import StoreAggregate
-from .series import resolve_protocols
+from .series import render_ascii_plot, render_series_table, resolve_protocols
+
+#: Protocol order used by the paper's tables (they omit FED-FP).
+TABLE_PROTOCOLS = ("DPCP-p-EP", "DPCP-p-EN", "SPIN", "LPP")
 
 
 def _markdown_table(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
@@ -32,6 +39,62 @@ def _markdown_table(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str
 def _ratio(value: float) -> str:
     """Format an acceptance ratio for a Markdown cell (``n/a`` for NaN)."""
     return "n/a" if math.isnan(value) else f"{value:.3f}"
+
+
+def _format_cell(count: int, total: int) -> str:
+    percentage = 100.0 * count / total if total else 0.0
+    return f"{count}({percentage:.1f}%)"
+
+
+def _render_pairwise(
+    stats: PairwiseStatistics,
+    matrix_name: str,
+    protocols: Optional[Sequence[str]],
+    title: str,
+) -> str:
+    """One pairwise matrix as an aligned plain-text table."""
+    protocols = protocols or [p for p in TABLE_PROTOCOLS if p in stats.protocols]
+    matrix = getattr(stats, matrix_name)
+    total = stats.scenario_count
+    header = [""] + list(protocols)
+    rows: List[List[str]] = [header]
+    for row_protocol in protocols:
+        row = [row_protocol]
+        for col_protocol in protocols:
+            if row_protocol == col_protocol:
+                row.append("N/A")
+            else:
+                row.append(_format_cell(matrix[row_protocol][col_protocol], total))
+        rows.append(row)
+    widths = [max(len(r[c]) for r in rows) for c in range(len(header))]
+    lines = [f"{title} ({total} scenarios)"]
+    for row in rows:
+        lines.append("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)))
+    return "\n".join(lines)
+
+
+def render_dominance_table(
+    stats: PairwiseStatistics, protocols: Optional[Sequence[str]] = None
+) -> str:
+    """Render Table 2 ("Statistic for Dominance") as plain text.
+
+    ``protocols`` defaults to :data:`TABLE_PROTOCOLS` present in ``stats``.
+    """
+    return _render_pairwise(
+        stats, "dominance", protocols, "Table 2. Statistic for Dominance"
+    )
+
+
+def render_outperformance_table(
+    stats: PairwiseStatistics, protocols: Optional[Sequence[str]] = None
+) -> str:
+    """Render Table 3 ("Statistic for Outperformance") as plain text.
+
+    ``protocols`` defaults to :data:`TABLE_PROTOCOLS` present in ``stats``.
+    """
+    return _render_pairwise(
+        stats, "outperformance", protocols, "Table 3. Statistic for Outperformance"
+    )
 
 
 def _tightness_row(label: str, protocol: str, rollup: ValidationRollup) -> List[str]:
@@ -173,8 +236,8 @@ def render_markdown_report(
     """Render a full store aggregate as one ``REPORT.md`` document.
 
     Sections: campaign summary, weighted acceptance, the Sec.-VII
-    dominance/outperformance tables (as fenced text, matching the CLI
-    export), and one series table + ASCII plot per complete scenario.
+    dominance/outperformance tables (as fenced text), and one series
+    table + ASCII plot per complete scenario.
     ``protocols`` restricts and orders the reported curves.
     """
     manifest = aggregate.manifest

@@ -1,4 +1,4 @@
-"""End-to-end CLI tests: run, interrupt, resume, status, export, hash guard."""
+"""End-to-end CLI tests: run, interrupt, resume, status, hash guard."""
 
 from __future__ import annotations
 
@@ -8,9 +8,9 @@ import pytest
 
 from repro.campaign import cli
 from repro.campaign.executor import build_protocols
-from repro.experiments.figures import load_sweep_results
 from repro.experiments.runner import SweepConfig, run_sweep
 from repro.experiments.scenarios import figure2_scenarios
+from repro.report.aggregate import aggregate_store
 
 #: A cheap 2-scenario campaign: the two m=16 Fig. 2 scenarios on tiny DAGs.
 RUN_FLAGS = [
@@ -62,7 +62,7 @@ def test_parallel_cli_run_is_bit_identical_to_serial_run_sweep(tmp_path):
     store = str(tmp_path / "store")
     assert run_cli("run", "--store", store, *RUN_FLAGS, "--workers", "4") == 0
 
-    [loaded_a, loaded_c] = load_sweep_results(store)
+    [loaded_a, loaded_c] = aggregate_store(store).complete_results()
     config = SweepConfig(
         samples_per_point=2,
         utilization_step_fraction=0.5,
@@ -92,33 +92,6 @@ def test_rerun_with_mismatched_config_is_refused(tmp_path, capsys):
     assert "different campaign configuration" in capsys.readouterr().err
     # The original configuration still resumes fine.
     assert run_cli("run", "--store", store, *RUN_FLAGS) == 0
-
-
-def test_export_writes_series_and_tables(tmp_path, capsys):
-    store = str(tmp_path / "store")
-    out = str(tmp_path / "out")
-    assert run_cli("run", "--store", store, *RUN_FLAGS) == 0
-    assert run_cli("export", "--store", store, "--out", out, "--strict") == 0
-    files = sorted(os.listdir(out))
-    assert "tables.txt" in files
-    csvs = [name for name in files if name.endswith(".csv")]
-    assert len(csvs) == 2
-    with open(os.path.join(out, csvs[0])) as handle:
-        header = handle.readline().strip()
-    assert header == "utilization,normalized_utilization,SPIN,FED-FP,generation_failures"
-    tables = open(os.path.join(out, "tables.txt")).read()
-    assert "Dominance" in tables and "Outperformance" in tables
-
-
-def test_export_of_partial_store_skips_incomplete_scenarios(tmp_path, capsys):
-    store = str(tmp_path / "store")
-    out = str(tmp_path / "out")
-    assert run_cli("run", "--store", store, *RUN_FLAGS, "--max-units", "2") == 3
-    assert run_cli("export", "--store", store, "--out", out) == 0
-    assert "skipped 1 incomplete scenario" in capsys.readouterr().out
-    assert len([n for n in os.listdir(out) if n.endswith(".csv")]) == 1
-    # --strict refuses partial stores instead.
-    assert run_cli("export", "--store", store, "--out", out, "--strict") == 2
 
 
 def test_status_of_missing_store_fails_cleanly(tmp_path, capsys):

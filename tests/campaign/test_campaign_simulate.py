@@ -10,7 +10,7 @@ from repro.campaign import cli
 from repro.campaign.executor import (
     UnitResult,
     build_protocols,
-    execute_simulation_unit,
+    execute_unit,
     plan_runner,
 )
 from repro.campaign.planner import (
@@ -120,9 +120,9 @@ def test_mode_and_simulation_config_enter_the_config_hash():
 def test_plan_runner_matches_the_mode():
     analyze = plan_campaign([SCENARIO], SWEEP, ["DPCP-p-EP"])
     simulate = plan_campaign([SCENARIO], SWEEP, ["DPCP-p-EP"], mode=MODE_SIMULATE)
-    assert plan_runner(analyze).__name__ == "execute_unit"
+    assert plan_runner(analyze) is execute_unit
     partial = plan_runner(simulate)
-    assert partial.func.__name__ == "execute_simulation_unit"
+    assert partial.func is execute_unit
     assert partial.keywords == {
         "sim_config": simulate.sim_config,
         "telemetry": False,
@@ -137,9 +137,7 @@ def test_simulation_unit_respects_the_event_budget():
     # must come back truncated — quickly, not after a multi-second run.
     unit = plan_scenario_units(SCENARIO, SWEEP)[0]
     protocols = build_protocols(["DPCP-p-EP"])
-    result = execute_simulation_unit(
-        unit, protocols, SimulationConfig(max_events=50)
-    )
+    result = execute_unit(unit, protocols, SimulationConfig(max_events=50))
     rollup = result.simulation["DPCP-p-EP"]
     assert result.accepted["DPCP-p-EP"] == rollup.simulated > 0
     assert rollup.truncated == rollup.simulated
@@ -150,7 +148,7 @@ def test_simulation_unit_respects_the_event_budget():
 def test_simulation_unit_record_round_trips():
     unit = plan_scenario_units(SCENARIO, SWEEP)[0]
     protocols = build_protocols(["DPCP-p-EP"])
-    result = execute_simulation_unit(unit, protocols, SimulationConfig(max_events=50))
+    result = execute_unit(unit, protocols, SimulationConfig(max_events=50))
     record = result.to_record()
     rebuilt = UnitResult.from_record(json.loads(json.dumps(record)))
     assert rebuilt.to_record() == {
@@ -162,12 +160,11 @@ def test_simulation_unit_record_round_trips():
 def test_simulation_unit_acceptance_matches_the_analyze_runner():
     # Simulate mode must not change the acceptance counts: same seeds, same
     # analysis path, only extra validation on top.
-    from repro.campaign.executor import execute_unit
-
     unit = plan_scenario_units(SCENARIO, SWEEP)[0]
     protocols = build_protocols(["DPCP-p-EP", "DPCP-p-EN"])
     analyzed = execute_unit(unit, protocols)
-    simulated = execute_simulation_unit(
+    assert analyzed.simulation is None
+    simulated = execute_unit(
         unit, build_protocols(["DPCP-p-EP", "DPCP-p-EN"]),
         SimulationConfig(max_events=50),
     )

@@ -1,9 +1,9 @@
-"""Figure-renderer edge cases: NaN/gap handling and protocol validation.
+"""Series-renderer edge cases: NaN/gap handling and protocol validation.
 
 The generation-failure conventions (NaN acceptance ratio -> ``n/a`` table
 cell, ASCII-plot gap, empty CSV cell) were previously exercised only
 implicitly through the sweep tests; these tests pin them directly, along
-with the ``acceptance_series`` validation of empty and protocol-disjoint
+with the ``series_rows`` validation of empty and protocol-disjoint
 sweeps.
 """
 
@@ -13,15 +13,15 @@ import math
 
 import pytest
 
-from repro.experiments.figures import (
-    acceptance_series,
-    render_ascii_plot,
-    render_series_table,
-    series_to_csv,
-)
 from repro.experiments.metrics import SweepCurve
 from repro.experiments.runner import SweepResult
 from repro.experiments.scenarios import figure2_scenarios
+from repro.report.series import (
+    render_ascii_plot,
+    render_series_table,
+    series_csv,
+    series_rows,
+)
 
 
 def sweep_with(points, protocols=("SPIN", "LPP")) -> SweepResult:
@@ -48,7 +48,7 @@ def gapped_sweep() -> SweepResult:
 # NaN / gap conventions
 # --------------------------------------------------------------------------- #
 def test_acceptance_series_rows_are_nan_where_every_draw_failed(gapped_sweep):
-    rows = acceptance_series(gapped_sweep)
+    rows = series_rows(gapped_sweep)
     assert [row["generation_failures"] for row in rows] == [0, 4, 1]
     assert math.isnan(rows[1]["SPIN"]) and math.isnan(rows[1]["LPP"])
     assert rows[2]["SPIN"] == pytest.approx(0.5)
@@ -73,7 +73,7 @@ def test_ascii_plot_leaves_gap_columns(gapped_sweep):
 
 
 def test_series_csv_leaves_empty_cells(gapped_sweep):
-    lines = series_to_csv(gapped_sweep).splitlines()
+    lines = series_csv(gapped_sweep).splitlines()
     assert lines[0] == "utilization,normalized_utilization,SPIN,LPP,generation_failures"
     assert lines[2] == "2.0,0.125,,,4"
 
@@ -83,29 +83,29 @@ def test_series_csv_leaves_empty_cells(gapped_sweep):
 # --------------------------------------------------------------------------- #
 def test_acceptance_series_of_empty_sweep_is_empty():
     empty = SweepResult(scenario=figure2_scenarios()["a"])
-    assert acceptance_series(empty) == []
+    assert series_rows(empty) == []
     # Renderers degrade to headers instead of raising.
     assert render_series_table(empty).startswith("Scenario ")
-    assert series_to_csv(empty) == "utilization,normalized_utilization,generation_failures\n"
+    assert series_csv(empty) == "utilization,normalized_utilization,generation_failures\n"
     assert "acceptance ratio" in render_ascii_plot(empty)
 
 
 def test_acceptance_series_names_missing_protocols(gapped_sweep):
     with pytest.raises(ValueError, match=r"no curve for protocol\(s\) DPCP-p-EP"):
-        acceptance_series(gapped_sweep, ["DPCP-p-EP", "SPIN"])
+        series_rows(gapped_sweep, ["DPCP-p-EP", "SPIN"])
     with pytest.raises(ValueError, match="FED-FP"):
         render_series_table(gapped_sweep, ["FED-FP"])
     with pytest.raises(ValueError, match="NOPE"):
-        series_to_csv(gapped_sweep, ["SPIN", "NOPE"])
+        series_csv(gapped_sweep, ["SPIN", "NOPE"])
 
 
 def test_acceptance_series_rejects_duplicate_protocols(gapped_sweep):
     with pytest.raises(ValueError, match="duplicate protocol"):
-        acceptance_series(gapped_sweep, ["SPIN", "SPIN"])
+        series_rows(gapped_sweep, ["SPIN", "SPIN"])
 
 
 def test_explicit_protocol_order_is_preserved(gapped_sweep):
-    rows = acceptance_series(gapped_sweep, ["LPP", "SPIN"])
+    rows = series_rows(gapped_sweep, ["LPP", "SPIN"])
     assert list(rows[0])[-2:] == ["LPP", "SPIN"]
-    lines = series_to_csv(gapped_sweep, ["LPP", "SPIN"]).splitlines()
+    lines = series_csv(gapped_sweep, ["LPP", "SPIN"]).splitlines()
     assert lines[0] == "utilization,normalized_utilization,LPP,SPIN,generation_failures"

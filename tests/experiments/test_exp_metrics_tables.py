@@ -14,10 +14,10 @@ from repro.experiments.metrics import (
     outperforms,
     weighted_acceptance,
 )
-from repro.experiments.tables import (
+from repro.report.markdown import (
+    TABLE_PROTOCOLS,
     render_dominance_table,
     render_outperformance_table,
-    table_rows,
 )
 
 
@@ -150,17 +150,8 @@ def test_render_tables_include_counts_and_percentages():
     assert "4(100.0%)" in table2
     assert "N/A" in table2
     assert "DPCP-p-EP" in table3
-
-
-def test_table_rows_structure():
-    stats = build_stats()
-    rows = table_rows(stats, "dominance")
-    assert [row["protocol"] for row in rows] == ["DPCP-p-EP", "DPCP-p-EN", "SPIN", "LPP"]
-    first = rows[0]
-    assert first["DPCP-p-EP"] is None
-    assert first["SPIN"] == 4
-    with pytest.raises(ValueError):
-        table_rows(stats, "nonsense")
+    # Rows follow the paper's table order.
+    assert [line.split()[0] for line in table2.splitlines()[2:]] == list(TABLE_PROTOCOLS)
 
 
 def test_weighted_acceptance_is_nan_without_realised_samples():

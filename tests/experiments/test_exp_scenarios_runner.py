@@ -5,13 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis import DpcpPEnTest, FedFpTest, SpinTest
-from repro.experiments.figures import (
-    acceptance_series,
-    render_ascii_plot,
-    render_series_table,
-    series_to_csv,
-    write_series_csv,
-)
 from repro.experiments.runner import (
     SweepConfig,
     pairwise_statistics,
@@ -22,6 +15,12 @@ from repro.experiments.scenarios import (
     Scenario,
     figure2_scenarios,
     full_grid,
+)
+from repro.report.series import (
+    render_ascii_plot,
+    render_series_table,
+    series_csv,
+    series_rows,
 )
 
 
@@ -143,7 +142,7 @@ def test_campaign_and_pairwise_statistics(tiny_sweep):
 # Figures
 # --------------------------------------------------------------------------- #
 def test_acceptance_series_and_table(tiny_sweep):
-    series = acceptance_series(tiny_sweep)
+    series = series_rows(tiny_sweep)
     assert len(series) == 4
     assert set(series[0]) >= {"utilization", "normalized_utilization", "FED-FP"}
     text = render_series_table(tiny_sweep, title="Fig 2(x)")
@@ -169,7 +168,7 @@ def test_failed_points_are_surfaced_not_fabricated():
     curve.add_point(4.0, accepted=0, sampled=0, generation_failures=2)
     result.curves["FED-FP"] = curve
 
-    series = acceptance_series(result)
+    series = series_rows(result)
     assert series[0]["generation_failures"] == 0
     assert series[1]["generation_failures"] == 2
     assert series[1]["FED-FP"] != series[1]["FED-FP"]  # NaN
@@ -178,7 +177,7 @@ def test_failed_points_are_surfaced_not_fabricated():
     assert "n/a" in table
     assert "fails" in table
 
-    csv_text = series_to_csv(result)
+    csv_text = series_csv(result)
     lines = csv_text.splitlines()
     assert lines[0].endswith("generation_failures")
     assert lines[2].endswith(",,2")  # empty ratio cell, 2 failed draws
@@ -187,12 +186,9 @@ def test_failed_points_are_surfaced_not_fabricated():
     assert "FED-FP" in art  # NaN point renders as a gap, not a crash
 
 
-def test_series_csv_roundtrip(tiny_sweep, tmp_path):
-    csv_text = series_to_csv(tiny_sweep)
+def test_series_csv_roundtrip(tiny_sweep):
+    csv_text = series_csv(tiny_sweep)
     assert csv_text.splitlines()[0].startswith("utilization,normalized_utilization")
-    target = tmp_path / "fig2a.csv"
-    write_series_csv(tiny_sweep, str(target))
-    assert target.read_text() == csv_text
     assert len(csv_text.splitlines()) == 5  # header + 4 points
 
 

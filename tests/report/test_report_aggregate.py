@@ -5,7 +5,6 @@ from __future__ import annotations
 import shutil
 
 from repro.campaign.store import CampaignStore
-from repro.experiments.figures import load_sweep_results
 from repro.experiments.metrics import weighted_acceptance
 from repro.experiments.runner import pairwise_statistics
 from repro.report.aggregate import aggregate_store
@@ -37,8 +36,8 @@ def test_aggregate_matches_store_records(finished_store):
     )
     assert aggregate.evaluated_samples == sum(r["evaluated"] for r in records.values())
 
-    # Curves equal the (independently assembled) sweep-result loader's.
-    loaded = load_sweep_results(finished_store)
+    # Curves equal a second, independent pass over the same store.
+    loaded = aggregate_store(finished_store).complete_results()
     assert len(loaded) == len(aggregate.complete_results()) == 2
     for expected, report in zip(loaded, aggregate.scenarios):
         assert report.complete

@@ -23,7 +23,10 @@ def test_report_renders_bundle_with_zero_reruns(finished_store, tmp_path, capsys
     assert sorted(os.listdir(out)) == ["REPORT.md", "report.html", "series"]
     assert len(os.listdir(os.path.join(out, "series"))) == 2
     with open(os.path.join(out, "REPORT.md")) as handle:
-        assert "# Campaign report" in handle.read()
+        report_md = handle.read()
+    assert "# Campaign report" in report_md
+    assert "Table 2. Statistic for Dominance" in report_md
+    assert "Table 3. Statistic for Outperformance" in report_md
 
 
 def test_report_defaults_to_store_subdirectory(tmp_path, run_campaign, capsys):

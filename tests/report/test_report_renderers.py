@@ -6,7 +6,6 @@ import os
 
 import pytest
 
-from repro.experiments.figures import load_sweep_results, series_to_csv
 from repro.experiments.metrics import SweepCurve
 from repro.experiments.runner import SweepResult
 from repro.experiments.scenarios import figure2_scenarios
@@ -138,14 +137,14 @@ def test_bundle_csv_is_byte_identical_to_single_sweep_csv(finished_store, tmp_pa
 
     sweeps = {
         sweep.scenario.scenario_id: sweep
-        for sweep in load_sweep_results(finished_store)
+        for sweep in aggregate_store(finished_store).complete_results()
     }
     for path in bundle.series_csvs:
         scenario_id = os.path.splitext(os.path.basename(path))[0]
         with open(path, newline="") as handle:
             from_bundle = handle.read()
-        # The classic single-sweep helper must produce the same bytes.
-        assert from_bundle == series_to_csv(sweeps[scenario_id])
+        # The CSV of the bare sweep must be the same bytes.
+        assert from_bundle == series_csv(sweeps[scenario_id])
 
 
 def test_failed_render_never_clobbers_an_existing_bundle(finished_store, tmp_path):
