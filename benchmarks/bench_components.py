@@ -89,8 +89,6 @@ def test_bench_wfd_partitioning(benchmark, workload):
         LppTest,
         lambda: DpcpPEpTest(engine="reference"),
         lambda: DpcpPEnTest(engine="reference"),
-        lambda: SpinTest(engine="reference"),
-        lambda: LppTest(engine="reference"),
     ],
     ids=[
         "DPCP-p-EP",
@@ -99,25 +97,22 @@ def test_bench_wfd_partitioning(benchmark, workload):
         "LPP",
         "DPCP-p-EP-reference",
         "DPCP-p-EN-reference",
-        "SPIN-reference",
-        "LPP-reference",
     ],
 )
 def test_bench_schedulability_test(benchmark, workload, protocol_factory):
     """One full schedulability test (partitioning + analysis).
 
-    Every protocol defaults to its compiled kernel engine; the
-    ``-reference`` ids run the retained straight-line oracles so the
-    kernels' speedups stay visible in the benchmark history.
+    DPCP-p defaults to its compiled kernel engine; the ``-reference`` ids
+    run the retained straight-line oracles so the kernel's speedup stays
+    visible in the benchmark history.  SPIN and LPP have one (straight-line)
+    implementation each.
 
-    The SPIN/LPP lane caches (hung off the shared CompiledTaskset's
-    ``protocol_cache``) are cleared on every iteration: a campaign analyses
+    The DPCP-p EP column cache (hung off the shared CompiledTaskset's
+    ``protocol_cache``) is cleared on every iteration: a campaign analyses
     each generated task set once per protocol, so timing repeated runs of a
-    warm kernel would overstate the speedup.  (DPCP-p's partition-dependent
-    lanes live in the per-call `DpcpPKernel` and are cold anyway.)  The
-    task-static tables themselves stay warm — in a campaign they are
-    compiled once per sample and shared across all protocols of the work
-    unit.
+    warm kernel would overstate the speedup.  The task-static tables
+    themselves stay warm — in a campaign they are compiled once per sample
+    and shared by DPCP-p-EP and -EN.
     """
     from repro.analysis.engine import compile_taskset
 

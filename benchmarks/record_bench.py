@@ -22,7 +22,8 @@ timings, and writes a JSON report next to the repository root:
   compared against the same component's baseline via the alias table).
 * ``campaign`` — a macro-benchmark: one fixed-seed utilization point
   executed cold through :func:`repro.campaign.executor.execute_unit`
-  twice (the seed's reference engines, then today's kernels), reported
+  twice (the DPCP-p reference engine, then today's DPCP-p kernel; SPIN
+  and LPP run their one implementation in both arms), reported
   as wall-clock seconds per 1000 task sets with ``speedup_vs_seed`` /
   ``speedup_vs_prev`` ratios (``--skip-campaign`` omits the section).
   ``--check-campaign BASELINE.json`` turns the section into a CI gate:
@@ -30,12 +31,13 @@ timings, and writes a JSON report next to the repository root:
   reference arm, exceeds the committed baseline's ratio by more than
   :data:`CAMPAIGN_REGRESSION_BUDGET_PERCENT`.  Shared runners differ
   several-fold in absolute speed, so the reference arm is the yardstick:
-  it measures the machine and does not change when the kernels do.
-* ``telemetry_overhead`` — the EP/EN/SPIN/LPP kernels timed with an
-  active :mod:`repro.obs.telemetry` session against the disabled default,
-  as per-kernel and median overhead percentages (in-process interleaved
-  blocks, per-arm floors compared — see :func:`measure_telemetry_overhead`
-  for why two separate pytest runs cannot resolve this).  The
+  it measures the machine and does not change when the kernel does.
+* ``telemetry_overhead`` — the EP/EN kernels and the SPIN/LPP analyses
+  timed with an active :mod:`repro.obs.telemetry` session against the
+  disabled default, as per-test and median overhead percentages
+  (in-process interleaved blocks, per-arm floors compared — see
+  :func:`measure_telemetry_overhead` for why two separate pytest runs
+  cannot resolve this).  The
   observability budget is ≤2 % median overhead on these hot paths
   (``--skip-overhead`` omits the section).
 
@@ -70,12 +72,6 @@ BASELINE_NAME_ALIASES = {
     ),
     "test_bench_schedulability_test[DPCP-p-EN-reference]": (
         "test_bench_schedulability_test[DPCP-p-EN]"
-    ),
-    "test_bench_schedulability_test[SPIN-reference]": (
-        "test_bench_schedulability_test[SPIN]"
-    ),
-    "test_bench_schedulability_test[LPP-reference]": (
-        "test_bench_schedulability_test[LPP]"
     ),
 }
 
@@ -187,9 +183,9 @@ def _median(values):
 def measure_telemetry_overhead(
     seconds_per_arm: float = 2.0, block_pairs: int = 60
 ) -> dict:
-    """Kernel timings with telemetry off vs. on, as an overhead report.
+    """Schedulability-test timings with telemetry off vs. on, as an overhead report.
 
-    Measured **in one process with interleaved blocks**: each kernel runs
+    Measured **in one process with interleaved blocks**: each test runs
     ``block_pairs`` alternating (off-block, on-block) pairs — the off
     block with no active session (the production default), the on block
     inside a fresh `repro.obs.telemetry` session that is snapshotted
@@ -275,12 +271,14 @@ def measure_campaign_macro(samples: int = 40, prev_campaign: dict = None) -> dic
     around a fresh :func:`repro.campaign.executor.execute_unit` call so
     every arm pays generation and table compilation cold:
 
-    * ``per_sample_seed`` — the **reference** engine suite: the seed
+    * ``per_sample_seed`` — the **reference** engine suite (DPCP-p's
+      straight-line oracle next to SPIN and LPP): the seed
       implementation this repository started from, the baseline
       ``speedup_vs_seed`` compares against (matching the component
       table's convention, where ``seed_us`` records the pre-kernel
       medians), and the CI gate's machine yardstick.
-    * ``per_sample_kernel`` — today's kernel suite.
+    * ``per_sample_kernel`` — today's suite (the DPCP-p kernel next to
+      the same SPIN and LPP).
 
     Both arms must agree exactly on acceptance counts; a mismatch raises
     instead of recording a benchmark of two different computations.
@@ -313,8 +311,8 @@ def measure_campaign_macro(samples: int = 40, prev_campaign: dict = None) -> dic
 
     def reference_suite():
         return [
-            SpinTest(engine=ENGINE_REFERENCE),
-            LppTest(engine=ENGINE_REFERENCE),
+            SpinTest(),
+            LppTest(),
             DpcpPEpTest(engine=ENGINE_REFERENCE),
             DpcpPEnTest(engine=ENGINE_REFERENCE),
         ]

@@ -16,14 +16,14 @@ from .interfaces import (
     TaskAnalysis,
     UNBOUNDED,
 )
-from .lpp import LppKernel, LppTest
+from .lpp import LppTest
 from .paths import PathEnumerator, PathEnumerationResult
 from .rta import (
     FixedPointNoConvergence,
     ceil_div_jobs,
     least_fixed_point,
 )
-from .spin import SpinKernel, SpinTest
+from .spin import SpinTest
 
 def default_protocols():
     """Instantiate the protocol suite compared in the paper (Sec. VII-B).
@@ -47,8 +47,6 @@ __all__ = [
     "DpcpPTest",
     "ENGINE_KERNEL",
     "ENGINE_REFERENCE",
-    "LppKernel",
-    "SpinKernel",
     "FedFpTest",
     "federated_wcrt",
     "SchedulabilityResult",

@@ -21,8 +21,8 @@ critical path lengths, η parameters) and the fixed-point solvers are **not**
 DPCP-p specific: they live in the protocol-agnostic
 :mod:`repro.analysis.engine` layer (:class:`~repro.analysis.engine.tables.CompiledTaskset`
 / :func:`~repro.analysis.engine.solver.solve_batched` /
-:func:`~repro.analysis.engine.solver.solve_scalar`), shared with the SPIN and
-LPP baseline kernels and across every protocol analysing the same task set.
+:func:`~repro.analysis.engine.solver.solve_scalar`), shared by DPCP-p-EP and
+-EN over the same task set; the solvers also back the straight-line analyses.
 This module adds only the partition-dependent coefficients (per-task
 :class:`_TaskLane` slices) and the DPCP-p lemma structure on top.
 :class:`DpcpPKernel` fetches those shared tables with :func:`compile_taskset`

@@ -8,14 +8,13 @@ the global/local resource classification.  :class:`CompiledTaskset` compiles
 all of it **once per task set** into plain lists, NumPy arrays, and sparse
 ``(task, weight)`` columns, and is shared
 
-* across all protocols analysing the same task set (a campaign work unit
-  runs DPCP-p-EP/EN, SPIN, and LPP over one generated task set — they all
-  read the same tables through :func:`compile_taskset`),
-* across the partition retries of Algorithm 1 and the federated top-up loop
-  (only cluster sizes change there, never the task-static data), and
-* across the protocol-specific *lanes* built on top (the DPCP-p kernel's
-  partition-dependent coefficients, the SPIN/LPP per-task columns), which
-  cache themselves in :attr:`CompiledTaskset.protocol_cache`.
+* across the DPCP-p tests analysing the same task set (a campaign work unit
+  runs DPCP-p-EP and -EN over one generated task set — both read the same
+  tables through :func:`compile_taskset`),
+* across the partition retries of Algorithm 1 (only the partition changes
+  there, never the task-static data), and
+* across the DPCP-p kernel's per-task EP columns built on top, which cache
+  themselves in :attr:`CompiledTaskset.protocol_cache`.
 
 The only mutable entry is the carried-in response-time vector used inside
 η_j, refreshed via :meth:`CompiledTaskset.sync_response_times` before each
@@ -108,9 +107,9 @@ class CompiledTaskset:
         self._users: Dict[int, List[Tuple[int, float, float]]] = {}
         self._user_arrays: Dict[int, Tuple[np.ndarray, ...]] = {}
         self._fold_rows: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-        #: Protocol-specific lane caches (e.g. ``"spin"`` / ``"lpp"`` /
-        #: ``"dpcp_p"``), so each protocol compiles its per-task columns once
-        #: per task set no matter how many tests run over it.
+        #: Protocol-specific column caches (the DPCP-p kernel's EP columns),
+        #: so a protocol compiles its per-task columns once per task set no
+        #: matter how many tests run over it.
         self.protocol_cache: Dict[str, object] = {}
 
     # ------------------------------------------------------------------ #
@@ -180,9 +179,8 @@ class CompiledTaskset:
     def users(self, resource_id: int) -> List[Tuple[int, float, float]]:
         """Sparse user column of a resource: ``[(task index, N, L), ...]``.
 
-        Covers every task with at least one request to ``resource_id``; the
-        protocol lanes slice it into their own ``(task, weight)`` columns
-        (other-task workload, higher-priority workload, ...).
+        Covers every task with at least one request to ``resource_id``;
+        :meth:`user_arrays` and :meth:`resource_ceiling` are built from it.
         """
         col = self._users.get(resource_id)
         if col is None:
@@ -272,9 +270,9 @@ _COMPILED: "weakref.WeakKeyDictionary[TaskSet, CompiledTaskset]" = (
 def compile_taskset(taskset: TaskSet) -> CompiledTaskset:
     """The shared :class:`CompiledTaskset` of ``taskset`` (compiled once).
 
-    All kernel-engine analyses call this, so a campaign work unit that runs
-    every protocol over one generated task set compiles the static tables a
-    single time; repeated tests of the same task set (benchmarks, top-up
+    The DPCP-p kernel calls this, so a campaign work unit that runs DPCP-p-EP
+    and -EN over one generated task set compiles the static tables a single
+    time; repeated tests of the same task set (benchmarks, Algorithm 1
     retries) reuse them as well.
     """
     tables = _COMPILED.get(taskset)

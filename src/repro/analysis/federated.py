@@ -13,8 +13,9 @@ cluster size and the response times of the previously analysed
 (higher-priority) tasks — so the already-computed prefix is carried over and
 the re-analysis resumes at the failing task instead of re-walking the whole
 task set on every grant.  ``wcrt_function`` implementations must respect
-this contract (both engines of SPIN and LPP do: neither reads another
-task's cluster size).
+this contract (:func:`~repro.analysis.spin.spin_wcrt` and
+:func:`~repro.analysis.lpp.lpp_wcrt` do: neither reads another task's
+cluster size).
 """
 
 from __future__ import annotations

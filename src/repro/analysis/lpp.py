@@ -24,46 +24,25 @@ structure used by the prior local-execution work:
 As with the SPIN baseline this is a re-implementation at the level of detail
 the paper evaluates; see DESIGN.md for the fidelity notes.
 
-Two interchangeable engines compute the bound:
-
-* ``engine="kernel"`` (default) — :class:`LppKernel`, which compiles the
-  static blocking constants and sparse higher-priority ``(task, weight)``
-  columns once per task set on top of the shared
-  :class:`~repro.analysis.engine.tables.CompiledTaskset`, and caches each
-  task's request-window blocking across federated top-up retries (the
-  windows do not depend on the cluster size);
-* ``engine="reference"`` — the straight-line functions below, kept as the
-  property-tested oracle (see ``tests/analysis/test_baseline_engine_equivalence.py``).
+The bound is the straight-line :func:`lpp_wcrt` below, run through the
+shared federated top-up loop
+(:func:`~repro.analysis.federated.federated_topup_analysis`).
 """
 
 from __future__ import annotations
 
 import math
-import weakref
-from typing import Dict, List, Optional, Tuple
+from typing import Dict
 
 from ..model.platform import Platform
 from ..model.task import DAGTask, TaskSet
-from .engine.solver import (
-    DEFAULT_ENGINE,
-    ENGINE_KERNEL,
-    ETA_GUARD,
-    NO_CONVERGENCE,
-    check_engine,
-    solve_scalar,
-    warn_no_convergence,
-)
-from .engine.tables import CompiledTaskset, compile_taskset
+# Unused here; perfbench/tracer.py requires this binding to exist.
+from .engine.solver import solve_scalar  # noqa: F401
 from .federated import federated_topup_analysis
 from .interfaces import SchedulabilityResult, SchedulabilityTest
 from .rta import ceil_div_jobs, least_fixed_point
 
-_ceil = math.ceil
 
-
-# --------------------------------------------------------------------------- #
-# Reference (straight-line) implementation — the property-tested oracle
-# --------------------------------------------------------------------------- #
 def lowest_priority_blocking(taskset: TaskSet, task: DAGTask, resource_id: int) -> float:
     """Longest critical section of a lower-priority task on ``resource_id``."""
     longest = 0.0
@@ -157,172 +136,11 @@ def lpp_wcrt(
     return base + blocking
 
 
-# --------------------------------------------------------------------------- #
-# Compiled kernel engine
-# --------------------------------------------------------------------------- #
-class _LppLane:
-    """Per-task compiled LPP coefficients (cluster-size independent)."""
-
-    __slots__ = ("counts", "lengths", "constants", "hpcols", "hp_involved",
-                 "crit_len", "wcet")
-
-    def __init__(self, tables: CompiledTaskset, task: DAGTask) -> None:
-        static = tables.table(task)
-        i = tables.index[task.task_id]
-        prios = tables.prios_list
-        prio_i = prios[i]
-        self.counts: List[float] = static.N
-        self.lengths: List[float] = static.L
-        # Per used resource: the window's constant part (own CS + longest
-        # lower-priority CS + own concurrent requests) and the sparse
-        # higher-priority workload column [(j, N_{j,q} L_{j,q})].
-        self.constants: List[float] = []
-        self.hpcols: List[List[Tuple[int, float]]] = []
-        involved = set()
-        for g, rid in enumerate(static.used):
-            own_cs = static.L[g]
-            lower = 0.0
-            col: List[Tuple[int, float]] = []
-            for j, count, cs in tables.users(rid):
-                if j == i:
-                    continue
-                if prios[j] < prio_i and cs > lower:
-                    lower = cs
-                elif prios[j] > prio_i:
-                    col.append((j, count * cs))
-                    involved.add(j)
-            own_concurrent = max(0.0, static.N[g] - 1.0) * own_cs
-            self.constants.append(own_cs + lower + own_concurrent)
-            self.hpcols.append(col)
-        #: Task indices whose carried-in response times the windows read —
-        #: the cache key of the blocking term (see :meth:`LppKernel.wcrt`).
-        self.hp_involved: Tuple[int, ...] = tuple(sorted(involved))
-        self.crit_len = static.crit_len
-        self.wcet = static.wcet
-
-
-class LppKernel:
-    """Compiled LPP analysis over the shared :class:`CompiledTaskset`.
-
-    Matches :func:`lpp_wcrt` bound-for-bound (property-tested to 1e-9).  The
-    request-window blocking term depends only on the carried-in response
-    times of the higher-priority users of the task's resources — not on the
-    cluster size — so it is cached per task and reused verbatim when the
-    federated top-up loop re-analyses the same task with a grown cluster.
-    """
-
-    CACHE_KEY = "lpp"
-
-    def __init__(self, taskset: TaskSet, tables: CompiledTaskset) -> None:
-        self.tables = tables
-        # Weak: this kernel lives in tables.protocol_cache, which the
-        # weak-keyed compile_taskset memo reaches from the task set — a
-        # strong back-reference would make the memo entry immortal.
-        self._owner = weakref.ref(taskset)
-        self._lanes: Dict[int, _LppLane] = {}
-        self._blocking_cache: Dict[int, Tuple[Tuple[float, ...], float]] = {}
-
-    @classmethod
-    def of(cls, taskset: TaskSet) -> "LppKernel":
-        """The shared kernel of ``taskset`` (compiled once, cached on its tables)."""
-        tables = compile_taskset(taskset)
-        kernel = tables.protocol_cache.get(cls.CACHE_KEY)
-        if kernel is None:
-            kernel = cls(taskset, tables)
-            tables.protocol_cache[cls.CACHE_KEY] = kernel
-        return kernel
-
-    def _lane(self, task: DAGTask) -> _LppLane:
-        lane = self._lanes.get(task.task_id)
-        if lane is None:
-            lane = _LppLane(self.tables, task)
-            self._lanes[task.task_id] = lane
-        return lane
-
-    def _blocking(self, lane: _LppLane, task: DAGTask) -> float:
-        """Σ_q N_{i,q} · (W_q − L_{i,q}) over the solved request windows."""
-        carried = self.tables.carried_list
-        periods = self.tables.periods_list
-        key = tuple(carried[j] for j in lane.hp_involved)
-        cached = self._blocking_cache.get(task.task_id)
-        if cached is not None and cached[0] == key:
-            return cached[1]
-
-        blocking = 0.0
-        for count, own_cs, constant, col in zip(
-            lane.counts, lane.lengths, lane.constants, lane.hpcols
-        ):
-            if not col:
-                # No higher-priority contender: the window is its constant
-                # part (provided it fits the deadline at all).
-                window: Optional[float] = (
-                    constant if constant <= task.deadline else None
-                )
-                status = None
-            else:
-                def recurrence(window: float) -> float:
-                    demand = 0.0
-                    for j, w in col:
-                        e = _ceil((window + carried[j]) / periods[j] - ETA_GUARD)
-                        if e > 0:
-                            demand += e * w
-                    return constant + demand
-
-                window, status = solve_scalar(recurrence, constant, task.deadline)
-                if window is None and status == NO_CONVERGENCE:
-                    warn_no_convergence(1, task.deadline)
-            if window is None:
-                blocking = math.inf
-                break
-            blocking += count * max(0.0, window - own_cs)
-
-        self._blocking_cache[task.task_id] = (key, blocking)
-        return blocking
-
-    def wcrt(
-        self,
-        taskset: TaskSet,
-        task: DAGTask,
-        cluster_size: int,
-        response_times: Dict[int, float],
-    ) -> float:
-        """Drop-in replacement for :func:`lpp_wcrt` over compiled tables."""
-        if taskset is not self._owner():
-            raise ValueError(
-                "LppKernel was compiled for a different task set; "
-                "use LppKernel.of(taskset)"
-            )
-        if cluster_size < 1:
-            return math.inf
-        self.tables.sync_response_times(response_times)
-        lane = self._lane(task)
-        blocking = self._blocking(lane, task)
-        if math.isinf(blocking):
-            return math.inf
-        base = lane.crit_len + (lane.wcet - lane.crit_len) / cluster_size
-        return base + blocking
-
-
 class LppTest(SchedulabilityTest):
-    """Schedulability test for local suspension-based semaphores (LPP).
-
-    Parameters
-    ----------
-    engine:
-        ``"kernel"`` (compiled coefficients, default) or ``"reference"``
-        (the straight-line oracle the kernel is validated against).
-    """
+    """Schedulability test for local suspension-based semaphores (LPP)."""
 
     name = "LPP"
 
-    def __init__(self, engine: str = DEFAULT_ENGINE) -> None:
-        check_engine(engine)
-        self.engine = engine
-
     def test(self, taskset: TaskSet, platform: Platform) -> SchedulabilityResult:
         """Iteratively size clusters and bound every task's WCRT under LPP."""
-        if self.engine == ENGINE_KERNEL:
-            wcrt_function = LppKernel.of(taskset).wcrt
-        else:
-            wcrt_function = lpp_wcrt
-        return federated_topup_analysis(taskset, platform, wcrt_function, self.name)
+        return federated_topup_analysis(taskset, platform, lpp_wcrt, self.name)

@@ -23,44 +23,25 @@ may differ from [6], but the qualitative behaviour — competitive under light
 contention, degrading as the number, length, and breadth of critical sections
 grows — is preserved.
 
-Two interchangeable engines compute the bound:
-
-* ``engine="kernel"`` (default) — :class:`SpinKernel`, which compiles the
-  static per-``(task, resource)`` delay terms and sparse ``(task, weight)``
-  supply columns once per task set on top of the shared
-  :class:`~repro.analysis.engine.tables.CompiledTaskset`;
-* ``engine="reference"`` — the straight-line functions below, kept as the
-  property-tested oracle (see ``tests/analysis/test_baseline_engine_equivalence.py``).
+The bound is the straight-line :func:`spin_wcrt` below, run through the
+shared federated top-up loop
+(:func:`~repro.analysis.federated.federated_topup_analysis`).
 """
 
 from __future__ import annotations
 
 import math
-import weakref
-from typing import Dict, List, Tuple
+from typing import Dict
 
 from ..model.platform import Platform
 from ..model.task import DAGTask, TaskSet
-from .engine.solver import (
-    DEFAULT_ENGINE,
-    ENGINE_KERNEL,
-    ETA_GUARD,
-    NO_CONVERGENCE,
-    check_engine,
-    solve_scalar,
-    warn_no_convergence,
-)
-from .engine.tables import CompiledTaskset, compile_taskset
+# Unused here; perfbench/tracer.py requires this binding to exist.
+from .engine.solver import solve_scalar  # noqa: F401
 from .federated import federated_topup_analysis
 from .interfaces import SchedulabilityResult, SchedulabilityTest
 from .rta import ceil_div_jobs, least_fixed_point
 
-_ceil = math.ceil
 
-
-# --------------------------------------------------------------------------- #
-# Reference (straight-line) implementation — the property-tested oracle
-# --------------------------------------------------------------------------- #
 def per_request_spin_delay(
     taskset: TaskSet, task: DAGTask, resource_id: int, cluster_size: int
 ) -> float:
@@ -154,143 +135,11 @@ def spin_wcrt(
     return solution if solution is not None else math.inf
 
 
-# --------------------------------------------------------------------------- #
-# Compiled kernel engine
-# --------------------------------------------------------------------------- #
-class _SpinLane:
-    """Per-task compiled SPIN coefficients (cluster-size independent)."""
-
-    __slots__ = ("capped", "intra_terms", "crit_len", "wcet")
-
-    def __init__(self, tables: CompiledTaskset, task: DAGTask) -> None:
-        static = tables.table(task)
-        i = tables.index[task.task_id]
-        #: Per used resource: the demand-view cap N_{i,q} · Σ_{j≠i} L_{j,q}
-        #: and the sparse supply column [(j, N_{j,q} L_{j,q})].
-        self.capped: List[Tuple[float, List[Tuple[int, float]]]] = []
-        #: ``(N_{i,q}, L_{i,q})`` of resources with own concurrent requests —
-        #: their spin term needs the cluster size, so it stays per-call.
-        self.intra_terms: List[Tuple[float, float]] = []
-        for count, cs, rid in zip(static.N, static.L, static.used):
-            inter = 0.0
-            col: List[Tuple[int, float]] = []
-            for j, other_count, other_cs in tables.users(rid):
-                if j == i:
-                    continue
-                inter += other_cs
-                col.append((j, other_count * other_cs))
-            self.capped.append((count * inter, col))
-            if count > 1:
-                self.intra_terms.append((count, cs))
-        self.crit_len = static.crit_len
-        self.wcet = static.wcet
-
-
-class SpinKernel:
-    """Compiled SPIN analysis over the shared :class:`CompiledTaskset`.
-
-    Matches :func:`spin_wcrt` bound-for-bound (property-tested to 1e-9); the
-    static delay terms and supply columns are compiled once per task set and
-    reused across the federated top-up retries and across every
-    :class:`SpinTest` run on the same task set.
-    """
-
-    CACHE_KEY = "spin"
-
-    def __init__(self, taskset: TaskSet, tables: CompiledTaskset) -> None:
-        self.tables = tables
-        # Weak: this kernel lives in tables.protocol_cache, which the
-        # weak-keyed compile_taskset memo reaches from the task set — a
-        # strong back-reference would make the memo entry immortal.
-        self._owner = weakref.ref(taskset)
-        self._lanes: Dict[int, _SpinLane] = {}
-
-    @classmethod
-    def of(cls, taskset: TaskSet) -> "SpinKernel":
-        """The shared kernel of ``taskset`` (compiled once, cached on its tables)."""
-        tables = compile_taskset(taskset)
-        kernel = tables.protocol_cache.get(cls.CACHE_KEY)
-        if kernel is None:
-            kernel = cls(taskset, tables)
-            tables.protocol_cache[cls.CACHE_KEY] = kernel
-        return kernel
-
-    def _lane(self, task: DAGTask) -> _SpinLane:
-        lane = self._lanes.get(task.task_id)
-        if lane is None:
-            lane = _SpinLane(self.tables, task)
-            self._lanes[task.task_id] = lane
-        return lane
-
-    def wcrt(
-        self,
-        taskset: TaskSet,
-        task: DAGTask,
-        cluster_size: int,
-        response_times: Dict[int, float],
-    ) -> float:
-        """Drop-in replacement for :func:`spin_wcrt` over compiled tables."""
-        if taskset is not self._owner():
-            raise ValueError(
-                "SpinKernel was compiled for a different task set; "
-                "use SpinKernel.of(taskset)"
-            )
-        if cluster_size < 1:
-            return math.inf
-        tables = self.tables
-        tables.sync_response_times(response_times)
-        lane = self._lane(task)
-        base = lane.crit_len + (lane.wcet - lane.crit_len) / cluster_size
-
-        # Constant intra-task spin (the only cluster-size-dependent term of
-        # the per-resource coefficients).
-        spin_const = 0.0
-        for count, cs in lane.intra_terms:
-            spin_const += count * min(cluster_size - 1, count - 1) * cs
-        capped = lane.capped
-
-        carried = tables.carried_list
-        periods = tables.periods_list
-
-        def recurrence(response: float) -> float:
-            spin = spin_const
-            for demand, col in capped:
-                supply = 0.0
-                for j, w in col:
-                    e = _ceil((response + carried[j]) / periods[j] - ETA_GUARD)
-                    if e > 0:
-                        supply += e * w
-                spin += demand if demand < supply else supply
-            return base + spin
-
-        solved, status = solve_scalar(recurrence, base, task.deadline)
-        if solved is None:
-            if status == NO_CONVERGENCE:
-                warn_no_convergence(1, task.deadline)
-            return math.inf
-        return solved
-
-
 class SpinTest(SchedulabilityTest):
-    """Schedulability test for FIFO spin locks under federated scheduling.
-
-    Parameters
-    ----------
-    engine:
-        ``"kernel"`` (compiled coefficients, default) or ``"reference"``
-        (the straight-line oracle the kernel is validated against).
-    """
+    """Schedulability test for FIFO spin locks under federated scheduling."""
 
     name = "SPIN"
 
-    def __init__(self, engine: str = DEFAULT_ENGINE) -> None:
-        check_engine(engine)
-        self.engine = engine
-
     def test(self, taskset: TaskSet, platform: Platform) -> SchedulabilityResult:
         """Iteratively size clusters and bound every task's WCRT under spinning."""
-        if self.engine == ENGINE_KERNEL:
-            wcrt_function = SpinKernel.of(taskset).wcrt
-        else:
-            wcrt_function = spin_wcrt
-        return federated_topup_analysis(taskset, platform, wcrt_function, self.name)
+        return federated_topup_analysis(taskset, platform, spin_wcrt, self.name)

@@ -48,7 +48,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Deque, Dict, List, Optional, Sequence
 
 from ..analysis.dpcp_p import DEFAULT_MAX_PATH_SIGNATURES
-from ..analysis.engine import compile_taskset
+# Unused here; perfbench/tracer.py requires this binding to exist.
+from ..analysis.engine import compile_taskset  # noqa: F401
 from ..analysis.interfaces import SchedulabilityTest
 from ..experiments.metrics import ValidationRollup
 from ..generation.randfixedsum import GenerationError
@@ -282,20 +283,6 @@ def _require_unique_names(protocols: Sequence[SchedulabilityTest]) -> None:
         raise ValueError(f"duplicate protocol name(s): {', '.join(sorted(duplicates))}")
 
 
-def _needs_table_warmup(protocols: Sequence[SchedulabilityTest]) -> bool:
-    """Whether any protocol in the suite reads the compiled analysis tables.
-
-    Only kernel-engine tests consult :func:`compile_taskset`'s memo;
-    reference-oracle suites would pay a pointless compile per sample, so
-    the evaluation loops skip the warm-up entirely for them.
-    """
-    from ..analysis.engine.solver import ENGINE_KERNEL
-
-    return any(
-        getattr(test, "engine", None) == ENGINE_KERNEL for test in protocols
-    )
-
-
 def _evaluate_samples(
     unit: WorkUnit,
     protocols: Sequence[SchedulabilityTest],
@@ -321,7 +308,6 @@ def _evaluate_samples(
     generation_config = unit.scenario.generation_config()
     sample_rngs = spawn_rngs(ensure_rng(unit.seed), unit.samples_per_point)
     tel = _active_telemetry()
-    needs_warm = _needs_table_warmup(protocols)
     for sample_rng in sample_rngs:
         try:
             if tel is not None:
@@ -341,11 +327,6 @@ def _evaluate_samples(
         result.evaluated += 1
         if tel is not None:
             tel.count("generation.tasksets")
-        if needs_warm:
-            # Warm the shared analysis tables: every kernel-engine protocol
-            # below reads the same (weak-keyed, dies-with-the-taskset)
-            # CompiledTaskset via compile_taskset's memo.
-            compile_taskset(taskset)
         for test in protocols:
             if tel is not None:
                 with tel.span("phase.analysis"), tel.span(f"protocol.{test.name}"):

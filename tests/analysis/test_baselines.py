@@ -1,4 +1,4 @@
-"""Tests for the baseline analyses: FED-FP, SPIN, and LPP."""
+"""Tests for the baseline analyses (FED-FP, SPIN, LPP) and their federated top-up loop."""
 
 from __future__ import annotations
 
@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+from repro.analysis.federated import federated_topup_analysis
 from repro.analysis.fedfp import FedFpTest, federated_wcrt
 from repro.analysis.lpp import (
     LppTest,
@@ -20,8 +21,15 @@ from repro.analysis.spin import (
     per_request_spin_delay,
     spin_wcrt,
 )
+from repro.generation import (
+    DagGenerationConfig,
+    GenerationError,
+    ResourceGenerationConfig,
+    TaskSetGenerationConfig,
+    generate_taskset,
+)
 from repro.model.dag import DAG
-from repro.model.platform import Platform
+from repro.model.platform import PartitionedSystem, Platform, minimal_federated_clusters
 from repro.model.resources import ResourceUsage
 from repro.model.task import DAGTask, TaskSet, Vertex
 
@@ -186,3 +194,111 @@ def test_resource_oblivious_bound_is_never_beaten(small_taskset, platform16):
             continue
         if protocol.test(small_taskset, platform16).schedulable:
             assert fed
+
+
+# --------------------------------------------------------------------------- #
+# Warm restart of the federated top-up loop vs a cold re-analysis oracle
+# --------------------------------------------------------------------------- #
+#: Heavy contention so the top-up loop actually grants processors (warm
+#: restarts are exercised, not just the first pass).
+CONTENDED_CONFIG = TaskSetGenerationConfig(
+    average_utilization=1.5,
+    dag=DagGenerationConfig(num_vertices_range=(6, 16), edge_probability=0.2),
+    resources=ResourceGenerationConfig(
+        num_resources_range=(2, 4),
+        access_probability=0.8,
+        request_count_range=(2, 12),
+        cs_length_range=(25.0, 60.0),
+    ),
+)
+
+
+def try_generate(utilization, config, seed):
+    """A task set for ``seed``, or None when the draw is infeasible."""
+    try:
+        return generate_taskset(utilization, config, rng=seed)
+    except GenerationError:
+        return None
+
+
+def _cold_topup_analysis(taskset, platform, wcrt_function, protocol_name):
+    """The top-up loop without warm restarts: re-analyse every task per grant."""
+    from repro.analysis.interfaces import SchedulabilityResult, TaskAnalysis
+
+    clusters = minimal_federated_clusters(taskset, platform)
+    if clusters is None:
+        return SchedulabilityResult(
+            schedulable=False, protocol=protocol_name, reason="no minimal assignment"
+        )
+    while True:
+        partition = PartitionedSystem(taskset, platform, clusters, {})
+        analyses, response_times, failing = {}, {}, None
+        for task in taskset.by_priority(descending=True):
+            cluster_size = clusters[task.task_id].size
+            wcrt = wcrt_function(taskset, task, cluster_size, response_times)
+            analyses[task.task_id] = TaskAnalysis(
+                task_id=task.task_id,
+                wcrt=wcrt,
+                deadline=task.deadline,
+                processors=cluster_size,
+            )
+            response_times[task.task_id] = min(wcrt, task.deadline)
+            if math.isinf(wcrt) or wcrt > task.deadline + 1e-9:
+                failing = task.task_id
+                break
+        if failing is None:
+            return SchedulabilityResult(
+                schedulable=True,
+                protocol=protocol_name,
+                task_analyses=analyses,
+                partition=partition,
+            )
+        unassigned = partition.unassigned_processors()
+        if not unassigned:
+            return SchedulabilityResult(
+                schedulable=False,
+                protocol=protocol_name,
+                task_analyses=analyses,
+                partition=partition,
+                reason="out of processors",
+            )
+        clusters[failing].processors.append(unassigned[0])
+
+
+@pytest.mark.parametrize("seed", [0, 5, 11, 17, 23, 31])
+@pytest.mark.parametrize(
+    "wcrt_function", [spin_wcrt, lpp_wcrt], ids=["spin", "lpp"]
+)
+def test_warm_restart_matches_cold_reanalysis(seed, wcrt_function):
+    taskset = try_generate(6.0, CONTENDED_CONFIG, seed)
+    if taskset is None:
+        pytest.skip("seed does not produce a feasible task set")
+    platform = Platform(16)
+    warm = federated_topup_analysis(taskset, platform, wcrt_function, "X")
+    cold = _cold_topup_analysis(taskset, platform, wcrt_function, "X")
+    assert warm.schedulable == cold.schedulable
+    assert warm.task_analyses.keys() == cold.task_analyses.keys()
+    for tid, a in warm.task_analyses.items():
+        b = cold.task_analyses[tid]
+        assert a.processors == b.processors
+        assert (a.wcrt == b.wcrt) or (math.isinf(a.wcrt) and math.isinf(b.wcrt))
+
+
+@pytest.mark.parametrize("factory", [SpinTest, LppTest], ids=["SPIN", "LPP"])
+def test_topup_actually_grants_processors(factory):
+    """The warm-restart tests above are vacuous unless some seed tops up."""
+    platform = Platform(16)
+    for seed in range(40):
+        taskset = try_generate(6.0, CONTENDED_CONFIG, seed)
+        if taskset is None:
+            continue
+        result = factory().test(taskset, platform)
+        minimal = {
+            t.task_id: t.minimum_processors() for t in taskset
+        }
+        if any(
+            analysis.processors > minimal[tid]
+            for tid, analysis in result.task_analyses.items()
+        ):
+            return
+    pytest.fail("no seed exercised the top-up path; tighten CONTENDED_CONFIG")

@@ -258,6 +258,22 @@ def test_static_cache_shared_across_kernels():
     assert bounds(k2) == first == expected
 
 
+def test_compiled_tables_die_with_the_taskset():
+    """The weak-keyed memo must not keep task sets alive (campaign workers
+    compile one per generated sample)."""
+    import gc
+    import weakref
+
+    taskset = generate_taskset(5.0, SMALL_CONFIG, rng=7)
+    compile_taskset(taskset)
+    # Populates the tables' EP column cache as well.
+    DpcpPEpTest().test(taskset, Platform(16))
+    ref = weakref.ref(taskset)
+    del taskset
+    gc.collect()
+    assert ref() is None
+
+
 def test_kernel_respects_carried_response_times():
     """η_j must pick up response-time bounds set between per-task analyses."""
     built = build_partition(SMALL_CONFIG, 42)

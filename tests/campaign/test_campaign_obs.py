@@ -159,8 +159,6 @@ counters
   solver.scalar.converged          3
   solver.scalar.diverged           14
   solver.scalar.iterations         20
-  tables.compile.hits              6
-  tables.compile.misses            6
 """
 
 
