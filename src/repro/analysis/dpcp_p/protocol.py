@@ -11,8 +11,8 @@ from ..paths import DEFAULT_MAX_SIGNATURES, PathEnumerator
 from .partition import partition_and_analyze
 from .wcrt import DEFAULT_ENGINE, MODE_EN, MODE_EP, _check_engine
 
-#: Default cap on enumerated path signatures before the EP analysis falls
-#: back to the EN bound (see DESIGN.md, "The EP path-signature cap").  The
+#: Default cap on a task's distinct path request codes (the enumerator's
+#: rows) before the EP analysis falls back to the EN bound (see DESIGN.md, "The EP path-signature cap").  The
 #: sweep config, campaign CLI, and protocol factories all default to this
 #: one constant — the enumerator's own default — so the serial API and the
 #: CLI cannot silently diverge.
@@ -29,8 +29,8 @@ class DpcpPTest(SchedulabilityTest):
         ``"EN"`` — enumerate the number of path requests per resource, as in
         the prior local-execution analyses [6], [11].
     max_path_signatures:
-        Cap on distinct path signatures per task before the EP analysis falls
-        back to the EN bound for the remaining paths.
+        Cap on the distinct request codes of a task's complete paths before
+        the EP analysis falls back to the EN bound.
     engine:
         ``"kernel"`` (vectorized coefficients, default) or ``"reference"``
         (the straight-line oracle the kernel is validated against).

@@ -4,53 +4,55 @@ The EP variant of the DPCP-p analysis computes a WCRT bound for every
 complete path of a task's DAG and takes the maximum (Eq. (1)).  Two practical
 concerns are handled here:
 
-* Many paths are *analysis-equivalent*: the bound only depends on the path
-  length :math:`L(\\lambda)` and on the per-resource request counts
-  :math:`N^\\lambda_{i,q}`, so paths are deduplicated by that signature.
-* The number of complete paths can be exponential.  The enumerator accepts a
-  cap; when the cap is exceeded the result is flagged as *not exhaustive* and
+* Many paths are *analysis-equivalent*: every term of the bound depends
+  only on the per-resource request counts :math:`N^\\lambda_{i,q}`, apart
+  from the path length :math:`L(\\lambda)` and the path's critical-section
+  time (which together give Lemma 5's on-path non-critical WCET), and the
+  bound does not decrease in either.  So one row per distinct request
+  vector, carrying both maxima over the paths that share it, dominates all
+  of them.
+* The number of complete paths can be exponential.  The enumerator accepts
+  caps; when one is exceeded the result is flagged as *not exhaustive* and
   callers fall back to the (sound but more pessimistic) EN-style bound.
 
-:meth:`PathEnumerator.enumerate` runs a dynamic program over analysis
-signatures: partial signatures are propagated along the DAG in topological
-order and deduplicated at every vertex, so the cost scales with the number
-of *distinct* signatures rather than with the (possibly exponential) number
-of raw paths — no path is ever walked individually.  The raw-path cap is
-enforced by the same capped O(V+E) counting pass the walk uses.  The
-original depth-first walk over raw paths is retained as a reference oracle,
-reached only through :meth:`PathEnumerator.walk`.
+:meth:`PathEnumerator.enumerate` runs a dynamic program over request codes:
+partial paths are propagated along the DAG in topological order and merged
+per code at every vertex, so the cost scales with the number of *distinct*
+request vectors rather than with the (possibly exponential) number of raw
+paths — no path is ever walked individually.  The raw-path cap is enforced
+by the same capped O(V+E) counting pass the walk uses.  The original
+depth-first walk over raw paths is retained as a reference oracle, reached
+only through :meth:`PathEnumerator.walk`.
 
 **Integer request codes.**  A path's per-resource request vector is one
 Python int with a fixed bit field per requested resource, each field wide
 enough for the task's total request count on that resource (no path can
 exceed it, so fields never carry into each other).  Merging a partial path
 with a vertex is then ``code + vertex_code``, and two request vectors are
-equal exactly when their codes are.  The DP keys partial signatures on
-``(round(length, 9), code)`` — the same equivalence as
-:meth:`PathProfile.signature`'s ``(round(length, 9), sorted request tuple)``
-— so the per-vertex signature counts, and with them every cap trip, are
-those of the tuple-keyed DP this replaced.  Codes are arbitrary-precision
-ints; only decoding them into the ``counts`` matrix needs care (tasks with
-many heavily requested resources need more than 63 bits, see
+equal exactly when their codes are.  Codes are arbitrary-precision ints;
+only decoding them into the ``counts`` matrix needs care (tasks with many
+heavily requested resources need more than 63 bits, see
 :func:`_decode_counts`).
 
-**No representative paths.**  The DP value is the first-seen path's exact
-length plus its on-path non-critical WCET (Lemma 5's on-path term), summed
-vertex by vertex from :meth:`DAGTask.vertex_non_critical_wcets`, so no
-vertex tuples are built.  Results expose the enumeration as arrays
-(``resource_ids``, ``lengths``, ``counts``, ``onpath_noncrit``) that the
-DPCP-p kernel consumes directly; ``profiles`` is a lazy
-:class:`PathProfile` view over them whose rows carry ``vertices=()``.  The
-walk fills the same arrays from its vertex-bearing profiles, which the
-reference engine keeps using (:meth:`PathEnumerator.walk`).
+**One row per code.**  The DP value of a code is a pair: the longest path's
+length ``L`` and the largest critical-section time ``D`` (WCET minus
+:meth:`DAGTask.vertex_non_critical_wcets`, summed along the path) over the
+paths with that code.  A row reports ``lengths = L`` and
+``onpath_noncrit = L - D``; DESIGN.md ("The EP path-signature cap and the
+signature-space enumerator") shows why its Theorem 1 bound dominates every
+path of the code and equals the longest one's when no critical section
+exceeds its vertex's WCET.  No vertex tuples are built.  Results expose the
+enumeration as arrays (``resource_ids``, ``lengths``, ``counts``,
+``onpath_noncrit``) that the DPCP-p kernel consumes directly; ``profiles``
+is a lazy :class:`PathProfile` view over them whose rows carry
+``vertices=()``.  The walk fills the same arrays from its vertex-bearing
+profiles, which the reference engine keeps using
+(:meth:`PathEnumerator.walk`).
 
-Partial signatures are deduplicated at the same rounded-length granularity
-as complete-path signatures, and extending every signature at a vertex by one
-fixed suffix preserves distinctness (up to rounding right at a signature
-boundary) — so the number of distinct partial signatures at any vertex tracks
-the number of distinct complete signatures, tripping the signature cap mid-DP
-implies the walk would (essentially) not have been exhaustive either, and the
-cap/``exhaustive`` semantics of the walk are preserved.
+**The cap is exact.**  Extending every code at a vertex by one fixed suffix
+code is injective, so no vertex ever holds more codes than the task has
+distinct complete codes: the DP is exhaustive exactly when those number at
+most ``max_signatures``.
 """
 
 from __future__ import annotations
@@ -67,7 +69,7 @@ from ..model.dag import PathProfile
 from ..model.task import DAGTask
 from ..obs.telemetry import active as _active_telemetry
 
-#: Default cap on the number of *distinct* path signatures kept per task.
+#: Default cap on the number of distinct request codes (rows) kept per task.
 DEFAULT_MAX_SIGNATURES = 4096
 
 #: Default cap on the number of raw paths covered per task.
@@ -77,7 +79,8 @@ DEFAULT_MAX_PATHS = 200_000
 class PathEnumerationResult:
     """Outcome of enumerating the complete paths of one task.
 
-    One row per distinct analysis signature; row 0 is a longest one.
+    One row per distinct analysis signature (a request code for the DP, a
+    ``PathProfile.signature()`` for the walk); row 0 is a longest one.
 
     Attributes
     ----------
@@ -85,13 +88,14 @@ class PathEnumerationResult:
         The ``U`` resources the task's vertices request, ascending; the
         columns of ``counts``.
     lengths:
-        ``(P,)`` path lengths :math:`L(\\lambda)` (exact floats of one path
-        per signature).
+        ``(P,)`` path lengths :math:`L(\\lambda)`: for the DP the longest
+        path of the row's code, for the walk one path per signature.
     counts:
         ``(P, U)`` int64 on-path request counts :math:`N^\\lambda_{i,q}`.
     onpath_noncrit:
-        ``(P,)`` non-critical WCET of the vertices on that same path
-        (Lemma 5's on-path term).
+        ``(P,)`` Lemma 5's on-path non-critical WCET: for the DP
+        ``lengths`` minus the largest on-path critical-section time of the
+        code, for the walk that of the row's path.
     exhaustive:
         ``True`` when every complete path is covered by the rows;
         ``False`` when a cap was hit and the rows only cover a subset.
@@ -258,6 +262,26 @@ def _longest_first(*rows: list) -> None:
             column[0], column[best] = column[best], column[0]
 
 
+def _merge_max(
+    maps: Sequence[Dict[int, Tuple[float, float]]]
+) -> Dict[int, Tuple[float, float]]:
+    """Union of ``code -> (L, D)`` maps, taking the elementwise maximum.
+
+    A single map is returned as is (callers only read the result).
+    """
+    if len(maps) == 1:
+        return maps[0]
+    merged = dict(maps[0])
+    for other in maps[1:]:
+        for code, (length, cs) in other.items():
+            old = merged.get(code)
+            if old is None:
+                merged[code] = (length, cs)
+            elif length > old[0] or cs > old[1]:
+                merged[code] = (max(length, old[0]), max(cs, old[1]))
+    return merged
+
+
 def _from_profiles(
     task: DAGTask,
     profiles: List[PathProfile],
@@ -303,16 +327,18 @@ def _cached(cache: _Cache, task: DAGTask) -> Optional[PathEnumerationResult]:
 
 
 class PathEnumerator:
-    """Enumerates and caches the path signatures of tasks.
+    """Enumerates and caches the per-code path rows of tasks.
 
     Parameters
     ----------
     max_signatures:
-        Cap on distinct signatures retained per task.
+        Cap on the distinct complete request codes of a task (the DP's
+        rows).  Exact: the DP is exhaustive iff the task has at most this
+        many codes.  The walk ignores it.
     max_paths:
         Cap on raw paths covered per task.
 
-    :meth:`enumerate` runs the signature-space dynamic program;
+    :meth:`enumerate` runs the code-keyed dynamic program;
     :meth:`walk` runs the reference depth-first walk over raw paths.
 
     Results are cached per live task object (a ``WeakKeyDictionary``), so a
@@ -338,7 +364,7 @@ class PathEnumerator:
         self._walk_cache = _Cache()
 
     def enumerate(self, task: DAGTask) -> PathEnumerationResult:
-        """Enumerate (and cache) the distinct path signatures of ``task``."""
+        """Enumerate (and cache) one dominating row per request code of ``task``."""
         cached = _cached(self._cache, task)
         tel = _active_telemetry()
         if cached is not None:
@@ -355,7 +381,7 @@ class PathEnumerator:
         return result
 
     def walk(self, task: DAGTask) -> PathEnumerationResult:
-        """The reference walk's enumeration of ``task`` under the same caps.
+        """The reference walk's enumeration of ``task`` under the same path cap.
 
         Its profiles carry real vertex tuples, which the straight-line
         reference analysis needs for Lemma 5.  Cached like
@@ -368,32 +394,36 @@ class PathEnumerator:
         return result
 
     # ------------------------------------------------------------------ #
-    # Signature-space dynamic program
+    # Code-keyed dynamic program
     # ------------------------------------------------------------------ #
     def _enumerate_dp(self, task: DAGTask) -> PathEnumerationResult:
-        """Propagate deduplicated partial signatures in topological order.
+        """Propagate per-code path maxima in topological order.
 
         The complete-path count is checked first (one capped O(V+E) counting
         pass, shared with the walk): astronomically many paths fall back to
         the critical path immediately.
 
-        Otherwise each vertex holds a mapping ``(rounded length, request
-        code) -> (exact length, on-path non-critical WCET)`` over the
-        source-to-vertex paths ending at it, first-seen path winning.
-        Deduplication happens at the reference signature granularity
-        (``round(length, 9)``, matching ``PathProfile.signature()``), while
-        the exact length travels in the value so the rows carry the same
-        floats a raw walk would produce.  Keying on exact lengths would let
-        paths that the walk treats as one signature (lengths differing below
-        1e-9) inflate the per-vertex sets and trip the cap where the walk
-        stays exhaustive.
+        Otherwise each vertex maps the request code of every source-to-vertex
+        path ending at it to one pair: the longest such path's length ``L``
+        and the largest critical-section time ``D`` (``wcet - C'`` summed
+        along the path, with ``C'`` from
+        :meth:`DAGTask.vertex_non_critical_wcets`).  Pairs merge by
+        elementwise maximum, so the merge order does not matter.  Each
+        complete code becomes one row with ``lengths = L`` and
+        ``onpath_noncrit = L - D``, whose Theorem 1 bound dominates that of
+        every path with the code (DESIGN.md, "The EP path-signature cap and
+        the signature-space enumerator").
+
+        Extending every code at a vertex by one fixed suffix code is
+        injective, so no vertex holds more codes than the complete set: the
+        DP trips the cap exactly when the task has more than
+        ``max_signatures`` distinct complete codes.
         """
         dag = task.dag
         total_paths = dag.count_complete_paths(limit=self.max_paths + 1)
         if total_paths > self.max_paths:
             return self._truncated(task)
 
-        order = dag.topological_order()
         pred_lists = dag.predecessor_lists()
         succ_lists = dag.successor_lists()
 
@@ -401,51 +431,39 @@ class PathEnumerator:
         shifts, masks, _bits = _code_layout(totals)
         shift_of = dict(zip(resource_ids, shifts))
         wcets = [v.wcet for v in task.vertices]
-        noncrit = task.vertex_non_critical_wcets()
+        crits = [w - c for w, c in zip(wcets, task.vertex_non_critical_wcets())]
         codes = [
             sum(count << shift_of[rid] for rid, count in v.requests.items() if count > 0)
             for v in task.vertices
         ]
         cap = self.max_signatures
-        sigs: Dict[int, Dict[Tuple[float, int], Tuple[float, float]]] = {}
+        sigs: Dict[int, Dict[int, Tuple[float, float]]] = {}
         pending_succs = [len(succ_lists[v]) for v in range(dag.num_vertices)]
-        for v in order:
+        for v in dag.topological_order():
             preds = pred_lists[v]
-            wcet = wcets[v]
-            own = noncrit[v]
-            code = codes[v]
-            if not preds:
-                sigs[v] = {(round(wcet, 9), code): (wcet, own)}
-            else:
-                merged: Dict[Tuple[float, int], Tuple[float, float]] = {}
-                for u in sorted(preds):
-                    for (_rounded, prefix), (length, onpath) in sigs[u].items():
-                        exact = length + wcet
-                        key = (round(exact, 9), prefix + code)
-                        if key not in merged:
-                            merged[key] = (exact, onpath + own)
-                if len(merged) > cap:
-                    return self._truncated(task)
-                sigs[v] = merged
-            # Free per-vertex signature sets as soon as every successor has
+            merged = _merge_max([sigs[u] for u in preds]) if preds else {0: (0.0, 0.0)}
+            wcet, crit, code = wcets[v], crits[v], codes[v]
+            sigs[v] = {
+                prefix + code: (length + wcet, cs + crit)
+                for prefix, (length, cs) in merged.items()
+            }
+            if len(sigs[v]) > cap:
+                return self._truncated(task)
+            # Free per-vertex code sets as soon as every successor has
             # consumed them (keeps peak memory proportional to the frontier).
             for u in preds:
                 pending_succs[u] -= 1
                 if pending_succs[u] == 0 and succ_lists[u]:
                     del sigs[u]
 
-        rows: Dict[Tuple[float, int], Tuple[float, float]] = {}
-        for sink in range(dag.num_vertices):
-            if succ_lists[sink]:
-                continue
-            for key, value in sigs[sink].items():
-                if key not in rows:
-                    rows[key] = value
-        if len(rows) > cap:
+        rows = _merge_max(
+            [sigs[sink] for sink in range(dag.num_vertices) if not succ_lists[sink]]
+        )
+        if len(rows) > cap:  # several sinks, each within the cap
             return self._truncated(task)
-        lengths = [value[0] for value in rows.values()]
-        onpath = [value[1] for value in rows.values()]
-        row_codes = [key[1] for key in rows]
+        row_codes = list(rows)
+        lengths = [length for length, _cs in rows.values()]
+        onpath = [length - cs for length, cs in rows.values()]
         _longest_first(lengths, onpath, row_codes)
         return PathEnumerationResult(
             resource_ids=resource_ids,
@@ -469,37 +487,20 @@ class PathEnumerator:
     # Reference raw-path walk
     # ------------------------------------------------------------------ #
     def _enumerate_walk(self, task: DAGTask) -> PathEnumerationResult:
-        """The original depth-first walk over raw paths (reference oracle)."""
-        # Quick pre-check: if the path count is astronomically large, skip the
-        # walk entirely and only report the critical path (non-exhaustive).
-        approx_count = task.dag.count_complete_paths(limit=self.max_paths + 1)
-        if approx_count > self.max_paths:
+        """The original depth-first walk over raw paths (reference oracle).
+
+        Capped only by ``max_paths``, through the counting pass the DP
+        shares: whenever the DP is exhaustive, so is the walk, and the
+        reference engine sees every raw path's signature.
+        """
+        total_paths = task.dag.count_complete_paths(limit=self.max_paths + 1)
+        if total_paths > self.max_paths:
             return self._truncated(task)
         profiles: Dict[Tuple, PathProfile] = {}
-        exhaustive = True
-        seen = 0
         for vertices in task.dag.iter_complete_paths():
-            seen += 1
             profile = task.path_profile(vertices)
-            signature = profile.signature()
-            if signature not in profiles:
-                if len(profiles) >= self.max_signatures:
-                    # The cap is already full: a further *distinct* signature
-                    # makes the walk non-exhaustive.  (Checking before the
-                    # insert keeps the result at max_signatures profiles; the
-                    # former post-insert check leaked one extra profile.)
-                    exhaustive = False
-                    break
-                profiles[signature] = profile
-            if seen >= self.max_paths:
-                exhaustive = seen >= approx_count
-                break
-
-        if not profiles:
-            profiles_list = [task.critical_path_profile()]
-        else:
-            profiles_list = list(profiles.values())
-        return _from_profiles(task, profiles_list, exhaustive, seen)
+            profiles.setdefault(profile.signature(), profile)
+        return _from_profiles(task, list(profiles.values()), True, total_paths)
 
     def clear(self) -> None:
         """Drop all cached enumerations."""

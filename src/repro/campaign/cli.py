@@ -271,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-path-signatures",
         type=int,
         default=DEFAULT_MAX_PATH_SIGNATURES,
-        help="cap on enumerated path signatures for the EP analysis",
+        help="cap on a task's distinct path request codes for the EP analysis",
     )
     run.add_argument(
         "--shard",

@@ -41,7 +41,11 @@ from ..utils.rng import ensure_rng, spawn_seeds
 #: Version 4: campaigns gained a mode (``analyze`` | ``simulate``); the
 #: manifest now carries ``mode`` (and, in simulate mode, the ``simulation``
 #: config), both of which enter the config hash.
-FORMAT_VERSION = 4
+#: Version 5: the EP path enumeration keys on request codes alone (one
+#: dominating row per code), so tasks that used to exceed the signature cap
+#: and degrade to the EN bound now get their exact EP bound — DPCP-p-EP
+#: verdicts changed, so results must not be mixed with version-4 stores.
+FORMAT_VERSION = 5
 
 #: Manifest version of *simulate-mode* stores.  Version 5: the simulator
 #: became protocol-pluggable (SPIN and LPP joined
@@ -50,8 +54,10 @@ FORMAT_VERSION = 4
 #: under its *own* runtime rules — simulate provenance changed, so resuming
 #: a version-4 simulate store would mix incompatible evidence.  Analyze-mode
 #: provenance is untouched: analyze stores stay on :data:`FORMAT_VERSION`
-#: and old analyze stores still resume.
-SIMULATE_FORMAT_VERSION = 5
+#: and old analyze stores still resume.  Version 6: the code-keyed EP
+#: enumeration (analyze version 5) changed which task sets DPCP-p-EP
+#: accepts, and with them the task sets simulate mode runs and their bounds.
+SIMULATE_FORMAT_VERSION = 6
 
 #: Campaign modes: ``analyze`` evaluates the schedulability tests only (the
 #: Sec. VII acceptance-ratio experiments); ``simulate`` additionally runs

@@ -159,6 +159,15 @@ class ComputeProfile:
         }
 
 
+def ep_fidelity_line(fidelity: Dict[str, float]) -> str:
+    """One line of :meth:`ComputeProfile.ep_fidelity`, as every renderer shows it."""
+    return (
+        f"EP degraded to EN for {fidelity['degraded_percent']:.1f}% of tasks "
+        f"({fidelity['truncated']} of {fidelity['enumerated']} enumerations "
+        "hit a cap)"
+    )
+
+
 def load_profile(store_directory: str) -> ComputeProfile:
     """Build the :class:`ComputeProfile` of one campaign store.
 
@@ -274,11 +283,7 @@ def render_profile(profile: ComputeProfile, top: int = 10) -> str:
     if fidelity is not None:
         lines.append("")
         lines.append("EP fidelity")
-        lines.append(
-            f"  EP degraded to EN for {fidelity['degraded_percent']:.1f}% of tasks "
-            f"({fidelity['truncated']} of {fidelity['enumerated']} enumerations "
-            "hit a cap)"
-        )
+        lines.append(f"  {ep_fidelity_line(fidelity)}")
         lines.append(
             f"  signatures            {fidelity['signatures']}  "
             f"({fidelity['en_fallbacks']} EN fallback bounds)"

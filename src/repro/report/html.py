@@ -14,6 +14,7 @@ from typing import List, Optional, Sequence
 
 from ..campaign.planner import MODE_SIMULATE
 from ..experiments.metrics import PairwiseStatistics, ValidationRollup
+from ..obs.profile import ep_fidelity_line
 from .aggregate import StoreAggregate
 from .series import resolve_protocols
 from .svg import render_svg_chart, render_tightness_panel
@@ -209,6 +210,11 @@ def render_html_report(
             "(events.jsonl); wall-clock timings live in "
             "<code>python -m repro.campaign profile</code>.</p>"
         )
+        fidelity = profile.ep_fidelity()
+        if fidelity is not None:
+            parts.append(
+                f"<p><b>EP fidelity.</b> {escape(ep_fidelity_line(fidelity))}.</p>"
+            )
         counters = profile.deterministic_counters()
         if counters:
             parts.append("<table><tr><th>Counter</th><th>Value</th></tr>")

@@ -18,6 +18,7 @@ from typing import List, Optional, Sequence
 
 from ..campaign.planner import MODE_SIMULATE
 from ..experiments.metrics import PairwiseStatistics, ValidationRollup
+from ..obs.profile import ep_fidelity_line
 from .aggregate import StoreAggregate
 from .series import render_ascii_plot, render_series_table, resolve_protocols
 
@@ -209,6 +210,10 @@ def render_profile_section(aggregate: StoreAggregate) -> List[str]:
         "repro.campaign profile`."
     )
     parts.append("")
+    fidelity = profile.ep_fidelity()
+    if fidelity is not None:
+        parts.append(f"**EP fidelity.** {ep_fidelity_line(fidelity)}.")
+        parts.append("")
     counters = profile.deterministic_counters()
     if counters:
         parts.append(

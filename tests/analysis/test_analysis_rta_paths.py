@@ -223,29 +223,6 @@ def build_layered_task(layers=6, width=2, distinct_weights=True):
     return DAGTask(0, vertices, dag, period=10_000.0)
 
 
-def test_dp_matches_walk_signatures(small_taskset):
-    """The DP produces exactly the walk's signature set on generated tasks."""
-    enumerator = PathEnumerator()
-    for task in small_taskset:
-        a, b = enumerator.enumerate(task), enumerator.walk(task)
-        assert a.exhaustive == b.exhaustive
-        assert a.total_paths_seen == b.total_paths_seen
-        sig_a = sorted(p.signature() for p in a.profiles)
-        sig_b = sorted(p.signature() for p in b.profiles)
-        assert sig_a == sig_b
-
-
-def test_dp_matches_walk_on_exponential_dag():
-    task = build_layered_task(layers=8, width=2)  # 256 paths, 256 signatures
-    enumerator = PathEnumerator()
-    dp, walk = enumerator.enumerate(task), enumerator.walk(task)
-    assert dp.exhaustive and walk.exhaustive
-    assert dp.total_paths_seen == walk.total_paths_seen == 256
-    assert sorted(p.signature() for p in dp.profiles) == sorted(
-        p.signature() for p in walk.profiles
-    )
-
-
 def test_dp_scales_past_walk_path_cap():
     """The DP stays exhaustive where the walk would drown in raw paths.
 
@@ -259,12 +236,34 @@ def test_dp_scales_past_walk_path_cap():
     assert len(dp.profiles) == 1  # all paths are analysis-equivalent
 
 
-def test_walk_signature_cap_respected():
-    """The walk keeps at most max_signatures profiles (off-by-one fixed)."""
-    task = build_layered_task(layers=4, width=2)  # 16 paths, distinct lengths
-    result = PathEnumerator(max_signatures=4).walk(task)
-    assert not result.exhaustive
-    assert len(result.profiles) == 4
+def test_dp_keys_on_request_code_alone():
+    """Paths with one request vector are one row, however their lengths differ.
+
+    256 raw paths of request-free diamonds with distinct branch lengths: one
+    code, so one row carrying the longest path — exhaustive even at a cap of
+    one, where the former ``(rounded length, code)`` keys tripped.
+    """
+    diamonds = 8
+    n = 3 * diamonds + 1
+    edges = []
+    for d in range(diamonds):
+        base = 3 * d
+        edges += [(base, base + 1), (base, base + 2), (base + 1, base + 3), (base + 2, base + 3)]
+    dag = DAG(n, edges)
+    # The second branch of diamond d is 0.001 * 2**d longer: 256 lengths.
+    vertices = [
+        Vertex(i, 0.3 + (0.001 * 2 ** (i // 3) if i % 3 == 2 else 0.0))
+        for i in range(n)
+    ]
+    task = DAGTask(0, vertices, dag, period=10_000.0)
+    enumerator = PathEnumerator(max_signatures=1)
+    dp, walk = enumerator.enumerate(task), enumerator.walk(task)
+    assert dp.exhaustive and dp.total_paths_seen == 256
+    assert len(dp.profiles) == 1
+    assert dp.lengths[0] == pytest.approx(task.critical_path_length)
+    assert dp.onpath_noncrit[0] == dp.lengths[0]  # no critical sections
+    # The walk ignores the signature cap: every raw path, one per length.
+    assert walk.exhaustive and len(walk.profiles) == 256
 
 
 def test_dp_dedups_at_signature_rounding_granularity():
@@ -273,7 +272,8 @@ def test_dp_dedups_at_signature_rounding_granularity():
     Regression: keying the DP's per-vertex sets on exact float lengths let
     sub-tolerance length differences inflate them past the cap, flagging a
     task non-exhaustive (→ pessimistic EN fallback) where the walk stayed
-    exhaustive with a single rounded signature.
+    exhaustive with a single rounded signature.  Code keys ignore lengths
+    altogether (see ``test_dp_keys_on_request_code_alone``).
     """
     diamonds = 8
     n = 3 * diamonds + 1
@@ -295,9 +295,15 @@ def test_dp_dedups_at_signature_rounding_granularity():
 
 
 def test_dp_signature_cap_falls_back_non_exhaustive():
-    # 128 paths with distinct lengths: above the walk shortcut, so the
-    # signature DP runs and trips its per-vertex cap.
+    # 128 paths; each layer's two vertices request different resources, so
+    # the DP sees 8 distinct complete codes and trips a cap of 4 mid-DP.
     task = build_layered_task(layers=7, width=2)
+    vertices = [
+        Vertex(v.index, v.wcet, requests={v.index % 2: 1}) for v in task.vertices
+    ]
+    usages = [ResourceUsage(0, 7, 0.1), ResourceUsage(1, 7, 0.1)]
+    task = DAGTask(0, vertices, task.dag, period=10_000.0, resource_usages=usages)
+    assert PathEnumerator(max_signatures=8).enumerate(task).exhaustive
     result = PathEnumerator(max_signatures=4, max_paths=40_000).enumerate(task)
     assert not result.exhaustive
     assert result.profiles[0].length == pytest.approx(task.critical_path_length)

@@ -53,15 +53,17 @@ SMALL_CONFIG = TaskSetGenerationConfig(
     ),
 )
 
-#: Wide, sparse DAGs whose signature counts exceed the kernel's batch cutoff,
-#: so the batched NumPy fixed-point path is exercised (not just the scalar one).
+#: Wide, sparse DAGs whose request-code counts exceed the kernel's batch
+#: cutoff, so the batched NumPy fixed-point path is exercised (not just the
+#: scalar one).  Rows are distinct request vectors, so the many resources
+#: and requests are what make them wide.
 WIDE_CONFIG = TaskSetGenerationConfig(
     average_utilization=1.5,
     dag=DagGenerationConfig(num_vertices_range=(35, 55), edge_probability=0.08),
     resources=ResourceGenerationConfig(
-        num_resources_range=(4, 7),
-        access_probability=0.5,
-        request_count_range=(1, 12),
+        num_resources_range=(6, 10),
+        access_probability=0.7,
+        request_count_range=(1, 20),
         cs_length_range=(15.0, 50.0),
     ),
 )
@@ -137,7 +139,7 @@ def test_fixed_seed_grid_agreement(seed, mode):
 
 @pytest.mark.parametrize("seed", [3, 11])
 def test_wide_dag_batched_path_agreement(seed):
-    """Signature counts above BATCH_CUTOFF route through the NumPy solver."""
+    """Row counts above BATCH_CUTOFF route through the NumPy solver."""
     built = build_partition(WIDE_CONFIG, seed, utilization=6.0)
     if built is None:
         pytest.skip("seed does not produce a feasible partition")

@@ -1,17 +1,19 @@
-"""Array-native EP enumeration: integer-coded signature DP and its consumers.
+"""Array-native EP enumeration: the code-keyed DP and its consumers.
 
-The signature DP emits ``(lengths, counts, onpath_noncrit)`` arrays keyed by
-integer request codes instead of representative vertex tuples.  These tests
-pin that the arrays are exactly the walk's signature multiset, that the cap
-semantics are those of the tuple-keyed DP it replaced (a golden recorded
-with that DP), that wide request codes decode without int64 overflow, and
-that the DPCP-p kernel assembles a task's partition-independent EP columns
-once across Algorithm 1's retries.
+The DP emits ``(lengths, counts, onpath_noncrit)`` arrays with one row per
+distinct integer request code instead of representative vertex tuples.
+These tests pin that each row carries the per-code maxima over the raw
+paths, that the kernel's EP bound is the maximum of the per-path bounds over
+every raw path, that the signature cap trips exactly above the number of
+distinct complete codes (also pinned by a golden), that wide request codes
+decode without int64 overflow, and that the DPCP-p kernel assembles a task's
+partition-independent EP columns once across Algorithm 1's retries.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 
 import numpy as np
@@ -39,7 +41,7 @@ from repro.generation import (
 )
 from repro.model import Platform
 from repro.model.dag import DAG
-from repro.model.platform import PartitionedSystem, minimal_federated_clusters
+from repro.model.platform import Cluster, PartitionedSystem, minimal_federated_clusters
 from repro.model.resources import ResourceUsage
 from repro.model.task import DAGTask, TaskSet, Vertex
 from repro.obs import telemetry
@@ -48,6 +50,9 @@ from repro.obs.profile import ComputeProfile, render_profile
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "dp_cap_truncation.json")
 
 BIG = 10**7
+
+#: Bound agreement, as in ``test_kernel_equivalence.py``.
+TOLERANCE = 1e-9
 
 
 # --- golden tasks begin
@@ -114,12 +119,12 @@ def golden_tasks():
         for task in taskset:
             if task.dag.count_complete_paths(limit=10**6) > 64:
                 tasks.append((f"generated-{seed}-{task.task_id}", task))
-    # Branch lengths collide across diamonds: 128 paths, 64 signatures.
+    # No requests: 128 paths of 64 lengths share one code.
     tasks.append((
         "distinct-lengths",
         _diamond_chain(lambda d: 1.0 + 0.01 * d, lambda d: 1.0 + 0.001 * (d + 1)),
     ))
-    # Equal lengths: only the request vectors tell paths apart (8 signatures).
+    # Equal lengths: only the request vectors tell paths apart (8 codes).
     tasks.append((
         "requests-only",
         _diamond_chain(
@@ -127,40 +132,47 @@ def golden_tasks():
             requests_a=lambda d: {0: 1}, requests_b=lambda d: {1: 1},
         ),
     ))
-    # Rounding straddle: the first diamond's branches differ by 2e-10 on
-    # either side of a 9th-decimal boundary, so the vertices after it hold
-    # two rounded lengths per request vector; the sink's 3e-10 moves both
-    # into one rounded bucket, so the complete signatures collapse to 7
-    # while a cap of 12 is needed to get through the DP.
-    tasks.append((
-        "rounding-straddle",
-        _diamond_chain(
-            lambda d: 0.4000000004 if d == 0 else 1.0,
-            lambda d: 0.4000000006 if d == 0 else 1.0,
-            sink=1.0000000003,
-            requests_a=lambda d: {0: 1} if d else {},
-            requests_b=lambda d: {1: 1} if d else {},
-        ),
-    ))
     return tasks
 # --- golden tasks end
 
 
-def _signature_keys(result):
-    """Sorted ``(rounded length, request tuple)`` keys of a result's rows."""
+def _raw_codes(task):
+    """``request tuple -> [longest length, largest critical-section time]``.
+
+    Computed path by path from :meth:`DAG.iter_complete_paths`, independent
+    of the DP.
+    """
+    noncrit = task.vertex_non_critical_wcets()
+    codes = {}
+    for vertices in task.dag.iter_complete_paths():
+        profile = task.path_profile(vertices)
+        cs = sum(task.vertices[v].wcet - noncrit[v] for v in vertices)
+        key = tuple(sorted(profile.requests.items()))
+        best = codes.setdefault(key, [profile.length, cs])
+        best[0] = max(best[0], profile.length)
+        best[1] = max(best[1], cs)
+    return codes
+
+
+def _row_codes(result):
+    """Request tuple of every row of ``result``, in row order."""
     rids = result.resource_ids
-    return sorted(
-        (round(float(length), 9), tuple((r, int(c)) for r, c in zip(rids, row) if c))
-        for length, row in zip(result.lengths, result.counts)
-    )
+    return [
+        tuple((r, int(c)) for r, c in zip(rids, row) if c) for row in result.counts
+    ]
 
 
 # --------------------------------------------------------------------------- #
 # Random DAGs with requests
 # --------------------------------------------------------------------------- #
 @st.composite
-def dag_tasks(draw):
-    """Random DAG tasks with colliding WCETs and per-vertex requests."""
+def dag_tasks(draw, clamps=False):
+    """Random DAG tasks with colliding WCETs and per-vertex requests.
+
+    With ``clamps``, some requesting vertices get critical sections that
+    exceed their WCET by at most 5e-11, so their non-critical WCET is
+    clamped at zero and paths of one request code differ in critical time.
+    """
     n = draw(st.integers(min_value=2, max_value=12))
     edges = [
         (u, v)
@@ -178,26 +190,34 @@ def dag_tasks(draw):
         }
         for _ in range(n)
     ]
+    if clamps:
+        for v, r in enumerate(requests):
+            if r and draw(st.booleans()):
+                excess = draw(st.floats(min_value=1e-12, max_value=5e-11))
+                wcets[v] = 0.2 * sum(r.values()) - excess
     return _task(wcets, edges, requests, cs=0.2)
 
 
 @settings(max_examples=80, deadline=None)
-@given(task=dag_tasks())
-def test_property_dp_arrays_equal_walk_signature_multiset(task):
-    enumerator = PathEnumerator()
-    dp, walk = enumerator.enumerate(task), enumerator.walk(task)
-    assert dp.exhaustive and walk.exhaustive
-    assert dp.total_paths_seen == walk.total_paths_seen
-    assert dp.resource_ids == walk.resource_ids
+@given(task=dag_tasks(clamps=True))
+def test_property_dp_rows_are_per_code_maxima(task):
+    dp = PathEnumerator().enumerate(task)
+    assert dp.exhaustive
+    assert dp.total_paths_seen == task.dag.count_complete_paths(limit=BIG)
+    assert dp.resource_ids == tuple(task.used_resources())
     assert dp.counts.dtype == np.int64
     assert dp.counts.shape == (len(dp.lengths), len(dp.resource_ids))
-    assert len(dp.profiles) == len(dp.lengths) == len(walk.profiles)
-    assert _signature_keys(dp) == _signature_keys(walk)
-    assert _signature_keys(walk) == sorted(p.signature() for p in walk.profiles)
-    # Longest signature first, in both.
-    for result in (dp, walk):
-        assert result.lengths[0] == result.lengths.max()
-        assert result.lengths[0] == pytest.approx(task.critical_path_length)
+    raw = _raw_codes(task)
+    row_codes = _row_codes(dp)
+    assert len(dp.profiles) == len(row_codes) == len(set(row_codes)) == len(raw)
+    # Exact: the DP sums WCETs and critical times in path order, as here.
+    for row, code in enumerate(row_codes):
+        longest, cs = raw[code]
+        assert dp.lengths[row] == longest
+        assert dp.onpath_noncrit[row] == longest - cs
+    # Longest row first.
+    assert dp.lengths[0] == dp.lengths.max()
+    assert dp.lengths[0] == pytest.approx(task.critical_path_length)
 
 
 @settings(max_examples=80, deadline=None)
@@ -219,9 +239,30 @@ def test_property_onpath_noncrit_matches_walk_representatives(task):
 
 
 # --------------------------------------------------------------------------- #
-# Cap semantics: golden recorded with the tuple-keyed DP
+# Cap semantics: exact at the distinct complete code count
 # --------------------------------------------------------------------------- #
-def test_dp_truncates_exactly_where_the_tuple_keyed_dp_did():
+def _golden_record(task):
+    """One golden entry: path and code counts, the cap outcomes around them."""
+    full = PathEnumerator(max_signatures=BIG, max_paths=BIG).enumerate(task)
+    P = len(full.profiles)
+    caps = {}
+    for cap in sorted({P - 1, P, P + 1} - {0}):
+        result = PathEnumerator(max_signatures=cap, max_paths=BIG).enumerate(task)
+        caps[str(cap)] = [result.exhaustive, len(result.profiles), result.total_paths_seen]
+    min_cap = next(
+        cap for cap in range(1, P + 1)
+        if PathEnumerator(max_signatures=cap, max_paths=BIG).enumerate(task).exhaustive
+    )
+    return {
+        "paths": full.total_paths_seen,
+        "signatures": P,
+        "codes": len(_raw_codes(task)),
+        "min_exhaustive_cap": min_cap,
+        "caps": caps,
+    }
+
+
+def test_dp_truncates_exactly_at_the_golden_caps():
     with open(GOLDEN) as handle:
         golden = json.load(handle)
     tasks = dict(golden_tasks())
@@ -230,6 +271,8 @@ def test_dp_truncates_exactly_where_the_tuple_keyed_dp_did():
         task = tasks[name]
         full = PathEnumerator(max_signatures=BIG, max_paths=BIG).enumerate(task)
         assert len(full.profiles) == record["signatures"], name
+        assert full.total_paths_seen == record["paths"], name
+        assert len(_raw_codes(task)) == record["codes"], name
         for cap, (exhaustive, kept, seen) in record["caps"].items():
             result = PathEnumerator(max_signatures=int(cap), max_paths=BIG).enumerate(task)
             assert (result.exhaustive, len(result.profiles), result.total_paths_seen) == (
@@ -238,43 +281,157 @@ def test_dp_truncates_exactly_where_the_tuple_keyed_dp_did():
 
 
 def test_golden_covers_caps_below_at_and_above_the_signature_count():
+    """Each golden task's smallest passing cap is its complete code count."""
     with open(GOLDEN) as handle:
         golden = json.load(handle)
-    straddle = golden["rounding-straddle"]
-    # A per-vertex set larger than the complete signature set trips the cap
-    # mid-DP even at caps the complete set would fit.
-    assert straddle["min_exhaustive_cap"] > straddle["signatures"]
-    for record in golden.values():
-        caps = {int(cap) for cap in record["caps"]}
+    for name, record in golden.items():
         P = record["signatures"]
-        assert {P - 1, P, P + 1} - {0} <= caps
+        assert record["codes"] == P == record["min_exhaustive_cap"], name
+        caps = {int(cap) for cap in record["caps"]}
+        assert {P - 1, P, P + 1} - {0} <= caps, name
+        for cap, (exhaustive, _kept, _seen) in record["caps"].items():
+            assert exhaustive == (int(cap) >= P), (name, cap)
 
 
-def test_reference_engine_takes_truncation_from_the_enumeration():
-    """The oracle follows the DP's cap trip even where the walk would not trip."""
-    task = dict(golden_tasks())["rounding-straddle"]
-    enumerator = PathEnumerator(max_signatures=11, max_paths=BIG)
-    assert not enumerator.enumerate(task).exhaustive
-    assert enumerator.walk(task).exhaustive
+@settings(max_examples=80, deadline=None)
+@given(task=dag_tasks(), cap=st.integers(min_value=1, max_value=12))
+def test_property_dp_is_exhaustive_iff_codes_fit_the_cap(task, cap):
+    result = PathEnumerator(max_signatures=cap).enumerate(task)
+    assert result.exhaustive == (len(_raw_codes(task)) <= cap)
+
+
+def _single_task_partition(task, processors=4):
+    """``(kernel, reference context)`` of ``task`` alone on its minimal cluster."""
     taskset = TaskSet([task])
-    platform = Platform(4)
+    platform = Platform(processors)
     clusters = minimal_federated_clusters(taskset, platform)
     partition = PartitionedSystem(
         taskset, platform, clusters, wfd_assign_resources(taskset, clusters).assignment
     )
-    kernel = kernel_module.DpcpPKernel(taskset, partition).task_wcrt_ep(
-        task, enumerator.enumerate(task)
-    )
-    ctx = DpcpPContext(taskset, partition)
+    return kernel_module.DpcpPKernel(taskset, partition), DpcpPContext(taskset, partition)
+
+
+def test_reference_engine_takes_truncation_from_the_enumeration():
+    """The oracle falls back to EN exactly where the DP trips its cap."""
+    task = dict(golden_tasks())["requests-only"]  # 8 codes
+    enumerator = PathEnumerator(max_signatures=7, max_paths=BIG)
+    assert not enumerator.enumerate(task).exhaustive
+    assert enumerator.walk(task).exhaustive
+    kernel, ctx = _single_task_partition(task)
+    ep = kernel.task_wcrt_ep(task, enumerator.enumerate(task))
     reference = task_wcrt_ep(ctx, task, enumerator)
     en = task_wcrt_en(ctx, task)
-    assert kernel == pytest.approx(reference, rel=1e-9) == pytest.approx(en, rel=1e-9)
+    assert ep == pytest.approx(reference, rel=1e-9) == pytest.approx(en, rel=1e-9)
     # The walk's own EP bound is tighter, so following it would disagree.
     walk_ep = max(
         path_wcrt(ctx, task, profile) for profile in enumerator.walk(task).profiles
     )
     assert walk_ep < en
     assert enumerator.walk(task) is enumerator.walk(task)  # cached
+
+
+def test_walk_stays_exhaustive_where_the_dp_is():
+    """Regression: the walk no longer applies the signature cap.
+
+    2**7 request-free paths of distinct lengths are one code: at a cap of 4
+    the DP is exhaustive, and so is the walk the reference engine evaluates
+    (with the cap it kept 4 of 128 lengths and the reference under-bounded).
+    """
+    task = _diamond_chain(lambda d: 1.0 + 0.01 * 2**d, lambda d: 1.0)
+    enumerator = PathEnumerator(max_signatures=4, max_paths=BIG)
+    dp, walk = enumerator.enumerate(task), enumerator.walk(task)
+    assert dp.exhaustive and len(dp.profiles) == 1
+    assert walk.exhaustive and len(walk.profiles) == walk.total_paths_seen == 128
+    kernel, ctx = _single_task_partition(task)
+    bound = 2 * task.deadline
+    assert kernel.task_wcrt_ep(task, dp, bound) == pytest.approx(
+        task_wcrt_ep(ctx, task, enumerator, bound), rel=TOLERANCE, abs=TOLERANCE
+    )
+
+
+# --------------------------------------------------------------------------- #
+# Bounds: one row per code dominates every raw path of it
+# --------------------------------------------------------------------------- #
+@st.composite
+def analysed_tasksets(draw):
+    """``(taskset, partition, clamped)``: task 0 under analysis, task 1 sharing.
+
+    Task 0 is a random DAG whose vertices may request nothing; with
+    ``clamped`` one requesting vertex's critical sections exceed its WCET by
+    at most 1e-9, so its non-critical WCET is clamped at zero.  Its cluster
+    has 1 to 3 processors; the resources are global (task 1 requests them)
+    and hosted on drawn processors.
+    """
+    n = draw(st.integers(min_value=2, max_value=10))
+    edges = [
+        (u, v)
+        for u in range(n)
+        for v in range(u + 1, n)
+        if draw(st.integers(min_value=0, max_value=9)) < 4
+    ]
+    cs = 3.0
+    wcets = [draw(st.sampled_from([20.0, 25.0, 30.0, 32.5, 40.0])) for _ in range(n)]
+    requests = [
+        {
+            rid: count
+            for rid in range(3)
+            for count in [draw(st.integers(min_value=0, max_value=2))]
+            if count
+        }
+        for _ in range(n)
+    ]
+    clamped = draw(st.booleans()) and any(requests)
+    if clamped:
+        v = draw(st.sampled_from([i for i, r in enumerate(requests) if r]))
+        excess = draw(st.floats(min_value=1e-12, max_value=1e-9))
+        wcets[v] = cs * sum(requests[v].values()) - excess
+    task = _task(wcets, edges, requests, cs=cs)
+    task = DAGTask(
+        0, task.vertices, task.dag, period=2000.0,
+        resource_usages=task.resource_usages.values(), priority=1,
+    )
+    other = DAGTask(
+        1, [Vertex(0, 30.0, requests={rid: 1 for rid in range(3)})], DAG(1, []),
+        period=500.0, resource_usages=[ResourceUsage(rid, 1, cs) for rid in range(3)],
+        priority=2,
+    )
+    taskset = TaskSet([task, other])
+    m_i = draw(st.integers(min_value=1, max_value=3))
+    processors = m_i + 2
+    clusters = {
+        0: Cluster(0, list(range(m_i))),
+        1: Cluster(1, [m_i]),
+    }
+    assignment = {
+        rid: draw(st.integers(min_value=0, max_value=processors - 1))
+        for rid in taskset.global_resources()
+    }
+    partition = PartitionedSystem(taskset, Platform(processors), clusters, assignment)
+    return taskset, partition, clamped
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=analysed_tasksets())
+def test_property_kernel_ep_bound_is_the_raw_path_maximum(case):
+    taskset, partition, clamped = case
+    task = taskset.task(0)
+    kernel = kernel_module.DpcpPKernel(taskset, partition)
+    ctx = DpcpPContext(taskset, partition)
+    bound = 2 * task.deadline
+    ep = kernel.task_wcrt_ep(task, PathEnumerator().enumerate(task), bound)
+    raw = max(
+        path_wcrt(ctx, task, task.path_profile(vertices), bound)
+        for vertices in task.dag.iter_complete_paths()
+    )
+    if math.isinf(ep) or math.isinf(raw):
+        # A dominating bound diverges whenever a raw path's does.
+        assert math.isinf(ep) and (math.isinf(raw) or clamped)
+        return
+    close = math.isclose(ep, raw, rel_tol=TOLERANCE, abs_tol=TOLERANCE)
+    if clamped:
+        assert ep >= raw or close
+    else:
+        assert close, (ep, raw)
 
 
 # --------------------------------------------------------------------------- #
@@ -300,7 +457,8 @@ def test_wide_request_codes_decode_without_int64_overflow():
     enumerator = PathEnumerator()
     dp, walk = enumerator.enumerate(task), enumerator.walk(task)
     assert dp.exhaustive and isinstance(dp.profiles, SignatureProfiles)
-    assert _signature_keys(dp) == _signature_keys(walk)
+    assert walk.exhaustive
+    assert sorted(_row_codes(dp)) == sorted(_raw_codes(task))
     codes = [
         sum(int(c) << shift for c, shift in zip(row, shifts)) for row in dp.counts
     ]
@@ -416,7 +574,11 @@ def test_ep_columns_follow_the_enumeration_object(retrying):
 # Fidelity telemetry
 # --------------------------------------------------------------------------- #
 def test_fidelity_counters_and_profile_line():
-    task = _diamond_chain(lambda d: 1.0 + 0.01 * d, lambda d: 1.0)
+    # 8 codes: more than the cap of 4 below.
+    task = _diamond_chain(
+        lambda d: 1.0 + 0.01 * d, lambda d: 1.0,
+        requests_a=lambda d: {0: 1}, requests_b=lambda d: {1: 1},
+    )
     with telemetry.session() as tel:
         exhaustive = PathEnumerator().enumerate(task)
         truncated = PathEnumerator(max_signatures=4).enumerate(task)
@@ -441,3 +603,13 @@ def test_en_fallback_counted_per_truncated_ep_bound(retrying):
     counters = tel.counters
     assert counters.get("enumeration.truncated", 0) >= 1
     assert counters.get("ep.en_fallback", 0) >= 1
+
+
+if __name__ == "__main__":
+    # Re-record the cap golden: PYTHONPATH=src python tests/analysis/test_signature_arrays.py
+    with open(GOLDEN, "w") as handle:
+        json.dump(
+            {name: _golden_record(task) for name, task in golden_tasks()},
+            handle, indent=1, sort_keys=True,
+        )
+        handle.write("\n")

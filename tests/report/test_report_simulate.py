@@ -10,8 +10,10 @@ re-renders identically from the same store.
 from __future__ import annotations
 
 import os
+from html import escape
 
 from repro.campaign import cli
+from repro.obs.profile import ep_fidelity_line
 from repro.report.aggregate import aggregate_store
 from repro.report.html import render_html_report
 from repro.report.markdown import render_markdown_report
@@ -112,6 +114,20 @@ def test_simulate_html_report_embeds_the_tightness_panel(simulate_store):
     assert 'class="tightness-panel"' in html
     assert "<td>Mode</td>" not in html  # mode is a <th> label row
     assert "simulate" in html
+
+
+def test_reports_show_ep_fidelity_from_the_profile(simulate_store, finished_store):
+    aggregate = aggregate_store(simulate_store)
+    fidelity = aggregate.compute_profile().ep_fidelity()
+    line = ep_fidelity_line(fidelity)
+    assert line.startswith("EP degraded to EN for ")
+    assert f"({fidelity['truncated']} of {fidelity['enumerated']} enumerations" in line
+    assert f"**EP fidelity.** {line}." in render_markdown_report(aggregate)
+    assert f"<b>EP fidelity.</b> {escape(line)}." in render_html_report(aggregate)
+    # No EP analysis ran in the SPIN/FED-FP fixture: no fidelity row.
+    analyze = aggregate_store(finished_store)
+    assert "EP fidelity" not in render_markdown_report(analyze)
+    assert "EP fidelity" not in render_html_report(analyze)
 
 
 def test_tightness_panel_handles_empty_distributions():
