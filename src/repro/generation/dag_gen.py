@@ -62,7 +62,7 @@ def erdos_renyi_dag(num_vertices: int, edge_probability: float, rng: RngLike = N
     # Only the strict upper triangle is read, in row-major order (np.nonzero's
     # order), so the edges and adjacency lists match a pairwise loop.
     sources, targets = np.nonzero(np.triu(draws < edge_probability, 1))
-    dag.add_forward_edges(sources.tolist(), targets.tolist())
+    dag.add_forward_edges(sources, targets)
     return dag
 
 

@@ -130,7 +130,8 @@ def distribute_requests_over_vertices(
     """Split ``N_{i,q}`` requests over vertices uniformly at random.
 
     Returns a mapping ``vertex index -> N_{i,x,q}`` whose values sum to
-    ``total_requests`` (vertices with zero requests are omitted).
+    ``total_requests`` (vertices with zero requests are omitted), in
+    ascending vertex order.
     """
     if total_requests < 0:
         raise GenerationError("total_requests must be non-negative")
@@ -140,7 +141,5 @@ def distribute_requests_over_vertices(
         return {}
     generator = ensure_rng(rng)
     choices = generator.integers(0, num_vertices, size=total_requests)
-    counts: Dict[int, int] = {}
-    for vertex in choices:
-        counts[int(vertex)] = counts.get(int(vertex), 0) + 1
-    return counts
+    tally = np.bincount(choices).tolist()
+    return {vertex: count for vertex, count in enumerate(tally) if count}

@@ -96,32 +96,27 @@ def _rebalance_critical_path(
     """
     weights = weights.astype(float).copy()
     for _ in range(max_iterations):
-        lstar = dag.longest_path_length(weights)
+        lstar, path = dag.critical_path(weights)
         if lstar < limit:
             return weights, dag, True
-        path = dag.longest_path(weights)
         on_path = np.zeros(len(weights), dtype=bool)
-        on_path[list(path)] = True
+        on_path[path] = True
         movable = (weights - floors) * on_path
         movable_total = float(movable.sum())
-        receivers = ~on_path
+        num_receivers = len(weights) - len(path)  # a path repeats no vertex
         excess = lstar - limit
-        if movable_total > 1e-12 and receivers.any():
+        if movable_total > 1e-12 and num_receivers:
             # Move just enough (plus a small margin) off the path.
             take = min(movable_total, excess * 1.05 + 1e-9)
             scale = take / movable_total
             taken = movable * scale
             weights = weights - taken
-            weights[receivers] += taken.sum() / receivers.sum()
+            weights[~on_path] += taken.sum() / num_receivers
             continue
         # Cannot shift weight: break the longest path structurally.
-        edge_to_remove = None
-        for src, dst in zip(path, path[1:]):
-            edge_to_remove = (src, dst)
-            break
-        if edge_to_remove is None:
-            return weights, dag, bool(dag.longest_path_length(weights) < limit)
-        remaining = [e for e in dag.edges if e != edge_to_remove]
+        if len(path) < 2:  # one vertex alone reaches the limit
+            return weights, dag, False
+        remaining = [e for e in dag.edges if e != (path[0], path[1])]
         dag = DAG(dag.num_vertices, remaining)
     return weights, dag, bool(dag.longest_path_length(weights) < limit)
 
@@ -173,12 +168,13 @@ def _generate_task_once(
     demands = scale_demands_to_budget(demands, budget_fraction * wcet)
 
     per_vertex_requests: Dict[int, Dict[int, int]] = {}
-    floors = np.zeros(num_vertices)
+    floor_sums = [0.0] * num_vertices
     for demand in demands:
         split = distribute_requests_over_vertices(demand.max_requests, num_vertices, rng)
         for vertex, count in split.items():
             per_vertex_requests.setdefault(vertex, {})[demand.resource_id] = count
-            floors[vertex] += count * demand.cs_length
+            floor_sums[vertex] += count * demand.cs_length
+    floors = np.array(floor_sums)
 
     weights = _initial_weights(floors, wcet, rng)
     limit = config.critical_path_fraction * deadline

@@ -20,6 +20,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Sequence, Set, Tuple
 
+import numpy as np
+
+
+_INF = float("inf")
+
 
 class DAGError(ValueError):
     """Raised when a DAG is structurally invalid (cycle, bad edge, ...)."""
@@ -68,7 +73,8 @@ class DAG:
                 src, dst = edge
             self.add_edge(src, dst)
         self._topo_cache: Tuple[int, ...] = ()
-        self._validate()
+        if self._edges:  # without edges the graph is trivially acyclic
+            self._validate()
 
     # ------------------------------------------------------------------ #
     # Construction / mutation
@@ -86,22 +92,37 @@ class DAG:
         self._pred[dst].append(src)
         self._topo_cache = ()
 
-    def add_forward_edges(self, sources: Iterable[int], targets: Iterable[int]) -> None:
-        """Add the edges ``sources[k] -> targets[k]`` in order, in bulk.
+    def add_forward_edges(self, sources: Sequence[int], targets: Sequence[int]) -> None:
+        """Add the edges ``sources[k] -> targets[k]`` in order, in one shot.
 
         Every edge must point forward in vertex order (``src < dst``), which
         keeps the graph acyclic by construction; duplicates are ignored as
-        in :meth:`add_edge`.  The adjacency lists grow in the given order.
+        in :meth:`add_edge`.  Both checks run over the whole batch before
+        any edge is added.  The adjacency lists grow in the given order.
         """
-        n, edges, succ, pred = self._n, self._edges, self._succ, self._pred
-        for src, dst in zip(sources, targets):
-            if not 0 <= src < dst < n:
-                raise DAGError(f"edge ({src}, {dst}) is not a forward edge of this DAG")
-            if (src, dst) in edges:
-                continue
-            edges.add((src, dst))
-            succ[src].append(dst)
-            pred[dst].append(src)
+        src = np.asarray(sources, dtype=np.int64)
+        dst = np.asarray(targets, dtype=np.int64)
+        if src.shape != dst.shape or src.ndim != 1:
+            raise DAGError("sources and targets must be equal-length sequences")
+        forward = (0 <= src) & (src < dst) & (dst < self._n)
+        if not forward.all():
+            k = int(np.argmin(forward))
+            raise DAGError(
+                f"edge ({src[k]}, {dst[k]}) is not a forward edge of this DAG"
+            )
+        # An ordered dict drops repeats within the batch and keeps the first.
+        pairs = dict.fromkeys(zip(src.tolist(), dst.tolist()))
+        edges, succ, pred = self._edges, self._succ, self._pred
+        if edges:
+            for pair in edges.intersection(pairs):
+                del pairs[pair]
+        # One ``add`` per edge, not one ``update``: the set then grows and
+        # resizes as it did edge by edge, so it iterates in the same order
+        # (the edge-removal fallback rebuilds a DAG in that order).
+        for pair in pairs:
+            edges.add(pair)
+            succ[pair[0]].append(pair[1])
+            pred[pair[1]].append(pair[0])
         self._topo_cache = ()
 
     def _validate(self) -> None:
@@ -187,39 +208,49 @@ class DAG:
         self._topo_cache = tuple(order)
         return self._topo_cache
 
-    def longest_path_length(self, weights: Sequence[float]) -> float:
-        """Length of the longest (critical) path under vertex ``weights``.
+    def critical_path(self, weights: Sequence[float]) -> Tuple[float, List[int]]:
+        """Return ``(L*, path)``: the longest path's length and its vertices.
 
         The length of a path is the sum of the weights of the vertices on it
         (edges carry no weight), matching the paper's definition of
-        :math:`L(\\lambda_i)`.
+        :math:`L(\\lambda_i)`.  One pass computes both.  Ties are broken
+        deterministically: among predecessors of equal length the larger
+        vertex index wins, and the path ends at the lowest-index vertex of
+        maximal length.  Task generation relies on this rule to reproduce
+        its draws (DESIGN.md, "Generation is bit-identical").
         """
-        self._check_weights(weights)
-        best = [0.0] * self._n
+        w = self._checked_weights(weights)
+        best = list(w)
+        parent = [-1] * self._n
+        pred = self._pred
         for v in self.topological_order():
-            incoming = [best[u] for u in self._pred[v]]
-            best[v] = (max(incoming) if incoming else 0.0) + float(weights[v])
-        return max(best) if best else 0.0
+            preds = pred[v]
+            if not preds:
+                continue
+            u = preds[0]
+            b = best[u]
+            for x in preds[1:]:
+                bx = best[x]
+                if bx > b or (bx == b and x > u):
+                    b, u = bx, x
+            best[v] = b + w[v]
+            parent[v] = u
+        lstar = max(best)
+        v = best.index(lstar)
+        path = [v]
+        while parent[v] != -1:
+            v = parent[v]
+            path.append(v)
+        path.reverse()
+        return lstar, path
+
+    def longest_path_length(self, weights: Sequence[float]) -> float:
+        """:math:`L^*` under vertex ``weights`` (see :meth:`critical_path`)."""
+        return self.critical_path(weights)[0]
 
     def longest_path(self, weights: Sequence[float]) -> List[int]:
-        """Return the vertices of one longest path (ties broken arbitrarily)."""
-        self._check_weights(weights)
-        best = [0.0] * self._n
-        parent = [-1] * self._n
-        for v in self.topological_order():
-            incoming = [(best[u], u) for u in self._pred[v]]
-            if incoming:
-                b, u = max(incoming)
-                best[v] = b + float(weights[v])
-                parent[v] = u
-            else:
-                best[v] = float(weights[v])
-        end = max(range(self._n), key=lambda v: best[v])
-        path = [end]
-        while parent[path[-1]] != -1:
-            path.append(parent[path[-1]])
-        path.reverse()
-        return path
+        """The vertices of the longest path :meth:`critical_path` picks."""
+        return self.critical_path(weights)[1]
 
     def iter_complete_paths(self, limit: int = 0) -> Iterator[Tuple[int, ...]]:
         """Yield every complete (head-to-tail) path as a tuple of vertices.
@@ -267,41 +298,25 @@ class DAG:
             return min(total, limit)
         return total
 
-    def ancestors(self, v: int) -> Set[int]:
-        """All vertices from which ``v`` is reachable (excluding ``v``)."""
-        seen: Set[int] = set()
-        frontier = list(self._pred[v])
-        while frontier:
-            u = frontier.pop()
-            if u in seen:
-                continue
-            seen.add(u)
-            frontier.extend(self._pred[u])
-        return seen
-
-    def descendants(self, v: int) -> Set[int]:
-        """All vertices reachable from ``v`` (excluding ``v``)."""
-        seen: Set[int] = set()
-        frontier = list(self._succ[v])
-        while frontier:
-            u = frontier.pop()
-            if u in seen:
-                continue
-            seen.add(u)
-            frontier.extend(self._succ[u])
-        return seen
-
     # ------------------------------------------------------------------ #
     # Helpers
     # ------------------------------------------------------------------ #
-    def _check_weights(self, weights: Sequence[float]) -> None:
+    def _checked_weights(self, weights: Sequence[float]) -> List[float]:
+        """``weights`` as a list of floats, validated: one per vertex, finite, >= 0.
+
+        NaN must be rejected explicitly: every comparison with it is false,
+        so it would pass a plain ``w < 0`` test and make the longest path
+        arbitrary.
+        """
         if len(weights) != self._n:
             raise DAGError(
                 f"expected {self._n} vertex weights, got {len(weights)}"
             )
-        for w in weights:
-            if w < 0:
-                raise DAGError("vertex weights must be non-negative")
+        values = np.asarray(weights, dtype=float).tolist()
+        for w in values:
+            if not 0.0 <= w < _INF:
+                raise DAGError("vertex weights must be finite and non-negative")
+        return values
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"DAG(num_vertices={self._n}, num_edges={self.num_edges})"

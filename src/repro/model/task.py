@@ -122,8 +122,7 @@ class DAGTask:
                     f"duplicate resource usage for resource {usage.resource_id}"
                 )
             self._usages[usage.resource_id] = usage
-        self._reconcile_usages()
-        self._validate_wcets()
+        self._check_vertex_requests()
         self._critical_path_cache: Optional[Tuple[int, float]] = None
         self._wcet_cache: Optional[float] = None
         self._non_critical_cache: Optional[List[float]] = None
@@ -132,17 +131,31 @@ class DAGTask:
     # ------------------------------------------------------------------ #
     # Construction helpers
     # ------------------------------------------------------------------ #
-    def _reconcile_usages(self) -> None:
-        """Cross-check vertex-level request counts against task-level usages."""
+    def _check_vertex_requests(self) -> None:
+        """Reconcile vertex request counts with the usages, then check the WCETs.
+
+        One walk over the vertices gathers each resource's per-vertex counts
+        and each vertex's critical-section time.  The usage checks come
+        first: every requested resource needs a :class:`ResourceUsage` whose
+        ``max_requests`` equals the vertices' total.  Then every vertex's
+        critical sections must fit in its WCET (within 1e-9).
+        """
+        usages = self._usages
+        # A resource without a usage counts 0 here and raises below.
+        cs_lengths = {rid: usage.cs_length for rid, usage in usages.items()}
         per_resource: Dict[int, Dict[int, int]] = {}
+        cs_times: List[float] = []
         for vertex in self.vertices:
+            index = vertex.index
+            cs_time = 0
             for rid, count in vertex.requests.items():
-                if count <= 0:
-                    continue
-                per_resource.setdefault(rid, {})[vertex.index] = count
+                if count > 0:
+                    per_resource.setdefault(rid, {})[index] = count
+                    cs_time += count * cs_lengths.get(rid, 0.0)
+            cs_times.append(cs_time)
         for rid, per_vertex in per_resource.items():
             total = sum(per_vertex.values())
-            usage = self._usages.get(rid)
+            usage = usages.get(rid)
             if usage is None:
                 raise TaskError(
                     f"vertices of task {self.task_id} request resource {rid} "
@@ -155,20 +168,19 @@ class DAGTask:
                 )
             if not usage.per_vertex_requests:
                 usage.per_vertex_requests = dict(per_vertex)
-        for rid, usage in self._usages.items():
+        first = self.vertices[0]
+        for rid, usage in usages.items():
             if usage.max_requests > 0 and rid not in per_resource:
                 # Usage declared at task level only; spread over vertex 0 so
                 # that per-vertex accounting is always available.
                 usage.per_vertex_requests = {0: usage.max_requests}
-                self.vertices[0].requests[rid] = usage.max_requests
-
-    def _validate_wcets(self) -> None:
-        for vertex in self.vertices:
-            cs_time = sum(
-                count * self._usages[rid].cs_length
-                for rid, count in vertex.requests.items()
-                if count > 0
-            )
+                first.requests[rid] = usage.max_requests
+                cs_times[0] = sum(
+                    count * usages[r].cs_length
+                    for r, count in first.requests.items()
+                    if count > 0
+                )
+        for vertex, cs_time in zip(self.vertices, cs_times):
             if cs_time > vertex.wcet + 1e-9:
                 raise TaskError(
                     f"task {self.task_id}, vertex {vertex.index}: critical "

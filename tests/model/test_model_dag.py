@@ -68,6 +68,20 @@ def test_add_forward_edges_rejects_backward_or_unknown(edge):
         dag.add_forward_edges([edge[0]], [edge[1]])
 
 
+def test_add_forward_edges_skips_edges_already_present():
+    dag = DAG(4, [(1, 2)])
+    dag.add_forward_edges([0, 1, 2, 0], [1, 2, 3, 1])
+    assert dag.successor_lists() == [[1], [2], [3], []]
+    assert dag.predecessor_lists() == [[], [0], [1], [2]]
+
+
+def test_add_forward_edges_rejects_the_whole_batch():
+    dag = DAG(3)
+    with pytest.raises(DAGError):
+        dag.add_forward_edges([0, 2], [1, 1])
+    assert dag.num_edges == 0
+
+
 def test_accepts_edge_objects():
     dag = DAG(3, [Edge(0, 1), Edge(1, 2)])
     assert dag.has_edge(0, 1)
@@ -105,14 +119,6 @@ def test_topological_order_respects_edges():
         assert positions[src] < positions[dst]
 
 
-def test_ancestors_descendants():
-    dag = diamond()
-    assert dag.ancestors(3) == {0, 1, 2}
-    assert dag.descendants(0) == {1, 2, 3}
-    assert dag.ancestors(0) == set()
-    assert dag.descendants(3) == set()
-
-
 # --------------------------------------------------------------------------- #
 # Longest path
 # --------------------------------------------------------------------------- #
@@ -136,6 +142,20 @@ def test_longest_path_rejects_bad_weights():
         dag.longest_path_length([1.0, 2.0])
     with pytest.raises(DAGError):
         dag.longest_path_length([1.0, -2.0, 1.0, 1.0])
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_longest_path_rejects_non_finite_weights(bad):
+    # NaN compares false with everything, so it used to pass the
+    # non-negativity check and yield an arbitrary "longest" path.
+    dag = diamond()
+    for position in range(4):
+        weights = [1.0, 2.0, 3.0, 4.0]
+        weights[position] = bad
+        with pytest.raises(DAGError):
+            dag.critical_path(weights)
+        with pytest.raises(DAGError):
+            dag.longest_path(weights)
 
 
 # --------------------------------------------------------------------------- #

@@ -117,6 +117,20 @@ def test_task_level_usage_without_vertex_requests_is_spread():
     assert task.request_count(7) == 1
 
 
+def test_usage_errors_are_raised_before_wcet_errors():
+    # Vertex 0's critical section overflows its WCET, but vertex 2 requests
+    # a resource without a usage: the usage check reports first.
+    usages = [ResourceUsage(7, max_requests=1, cs_length=10.0)]
+    with pytest.raises(TaskError, match="no ResourceUsage"):
+        make_task(requests={0: {7: 1}, 2: {9: 1}}, usages=usages)
+
+
+def test_task_level_usage_spread_onto_vertex_zero_is_wcet_checked():
+    usages = [ResourceUsage(7, max_requests=3, cs_length=1.0)]
+    with pytest.raises(TaskError, match="vertex 0"):
+        make_task(usages=usages)  # 3 x 1.0 of critical sections > C_0 = 2.0
+
+
 # --------------------------------------------------------------------------- #
 # Resource bookkeeping
 # --------------------------------------------------------------------------- #
