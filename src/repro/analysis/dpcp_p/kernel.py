@@ -53,6 +53,19 @@ Two execution strategies share the coefficients:
   NumPy dispatch overhead would dominate: the EN analysis and tasks with few
   path signatures.
 
+**Diverging bounds are decided before their windows.**  Every Theorem-1
+step is ``fixed + blocking + agents / m_i`` with a window-free ``fixed``
+and non-negative blocking and agent terms, and both solvers test
+divergence before convergence.  So before any Lemma-2 window is solved,
+a task bound is ``inf`` when some row starts non-finite or above the
+bound, or has ``fixed`` above it (test 1: batched EP, every scalar EP
+row, EN), or when the batched solve's own first step, with ε at its
+window-free floor :math:`N^\\lambda \\beta`, already exceeds it (test 2:
+batched EP).  Both tests are exact, so every bound is bit-identical to a
+full solve (DESIGN.md, "A diverging bound is decided before its
+windows").  The window-free parts and test 2's η/ζ arrays are computed
+once and reused by the solve.
+
 Per-signature bounds match the reference implementation up to
 floating-point summation order (observed well below 1e-12 relative on
 randomized systems).  The kernel assumes (like the reference analysis) that
@@ -122,6 +135,49 @@ class _TaskLane:
 #: Scalar-path row: ``(length, on-path counts per used global resource,
 #: Lemma 4 local-resource blocking, Lemma 5 intra-task interference)``.
 _Row = Tuple[float, List[int], float, float]
+
+#: A scalar row's window-free parts: ``(own off-path work per used
+#: processor, Theorem 1's start, Theorem 1's fixed term)``.
+_RowTerms = Tuple[Dict[int, float], float, float]
+
+
+def _theorem1_terms(length, intra_block, intra_interf, own_off_cluster, m_i):
+    """Theorem 1's window-free terms ``(start, fixed)`` (floats or row arrays).
+
+    Every step of the iteration is ``fixed + blocking + agents / m_i`` with
+    non-negative blocking and agent terms, so no iterate after ``start``
+    falls below ``fixed``.
+    """
+    fixed = length + intra_block + (intra_interf + own_off_cluster) / m_i
+    start = length + intra_block + intra_interf / m_i
+    return start, fixed
+
+
+def _theorem1_step(fixed, eps_active, zeta, agents, m_i, idx):
+    """One batched Theorem-1 step on rows ``idx``: ``fixed + Σ min(ε, ζ) + agents/m_i``.
+
+    The solve and the early test 2 both evaluate their step here, so they
+    round identically.
+    """
+    return fixed[idx] + np.minimum(eps_active[idx], zeta).sum(axis=1) + agents / m_i
+
+
+def _diverges_at_start(start: float, fixed: float, bound: float) -> bool:
+    """Test 1: must Theorem 1's iteration from ``start`` pass ``bound``?
+
+    True when ``start`` is non-finite or above ``bound``, which both solvers
+    resolve to ``inf``, or when ``fixed > bound``: the first step is at
+    least ``fixed``, and both solvers test divergence (strict ``>``) before
+    convergence.  For a batch, pass the row maxima: NaN and ``inf``
+    propagate through ``max``.
+    """
+    return not math.isfinite(start) or start > bound or fixed > bound
+
+
+def _bump(counters: Optional[Dict[str, int]], counter: str) -> None:
+    """Add one to ``counter`` on a telemetry counter dict (``None``: no session)."""
+    if counters is not None:
+        counters[counter] = counters.get(counter, 0) + 1
 
 
 @dataclass
@@ -247,6 +303,10 @@ class DpcpPKernel:
         # freshly built kernel behaves like one built from scratch.
         tables.sync_response_times({})
         self._carried_list = tables.carried_list
+        # The kernel.* counters go to the session active at construction
+        # (one work unit's): a dict bump per task bound, no session lookup.
+        tel = _active_telemetry()
+        self._counters = tel.counters if tel is not None else None
 
         n = len(self._tasks)
         m = partition.platform.num_processors
@@ -414,17 +474,17 @@ class DpcpPKernel:
     def _theorem1_scalar(
         self,
         lane: _TaskLane,
-        length: float,
         eps: Dict[int, float],
-        intra_block: float,
-        intra_interf: float,
-        own_off_cluster: float,
+        start: float,
+        fixed: float,
         bound: float,
     ) -> float:
-        """Theorem 1's fixed point for one profile via the coefficient tables."""
+        """Theorem 1's fixed point for one profile via the coefficient tables.
+
+        ``start`` and ``fixed`` are the profile's window-free terms
+        (:func:`_theorem1_terms`).
+        """
         m_i = lane.m_i
-        fixed = length + intra_block + (intra_interf + own_off_cluster) / m_i
-        start = length + intra_block + intra_interf / m_i
         # min(0, ζ) = 0: only processors with a positive ε can contribute.
         eps_cols = [
             (value, lane.other_cols[k]) for k, value in eps.items() if value > 0.0
@@ -464,13 +524,14 @@ class DpcpPKernel:
             return _inf
         return solved
 
-    def _row_wcrt_scalar(self, lane: _TaskLane, row: _Row, bound: float) -> float:
-        """One signature row through the scalar fast path."""
+    def _row_terms(self, lane: _TaskLane, row: _Row) -> _RowTerms:
+        """A row's window-free parts: own off-path work per used processor,
+        and Theorem 1's ``start`` and ``fixed`` terms."""
         length, n_g, local_block, intra_interf = row
-        static = lane.static
-        # Own off-path workload and σ (any on-path request) per used processor.
+        # Own off-path workload per used processor; Lemma 4 adds it to the
+        # local blocking where σ holds (the row requests a resource there).
         off: Dict[int, float] = {}
-        sigma: Dict[int, bool] = {}
+        intra_block = local_block
         for k, entries in lane.g_by_proc.items():
             total = 0.0
             requested = False
@@ -482,8 +543,21 @@ class DpcpPKernel:
                 if gap > 0:
                     total += gap * cs
             off[k] = total
-            sigma[k] = requested
+            if requested:
+                intra_block += total
+        own_off_cluster = sum(off[k] for k in lane.cluster_use_procs)
+        start, fixed = _theorem1_terms(
+            length, intra_block, intra_interf, own_off_cluster, lane.m_i
+        )
+        return off, start, fixed
 
+    def _row_wcrt_scalar(
+        self, lane: _TaskLane, row: _Row, terms: _RowTerms, bound: float
+    ) -> float:
+        """One signature row through the scalar fast path."""
+        n_g = row[1]
+        off, start, fixed = terms
+        static = lane.static
         # Lemma 2 windows and Lemma 3's per-request view ε.
         eps: Dict[int, float] = {}
         for g, n_path in enumerate(n_g):
@@ -493,26 +567,38 @@ class DpcpPKernel:
             beta = lane.beta_list[g]
             gamma = self._window_scalar(lane, static.g_L[g] + off[k] + beta, k, bound)
             eps[k] = eps.get(k, 0.0) + n_path * (beta + gamma)
+        return self._theorem1_scalar(lane, eps, start, fixed, bound)
 
-        # Lemma 4: local blocking plus co-located off-path work.
-        intra_block = local_block
-        for k in lane.use_procs:
-            if sigma[k]:
-                intra_block += off[k]
-        own_off_cluster = sum(off[k] for k in lane.cluster_use_procs)
-        return self._theorem1_scalar(
-            lane,
-            length,
-            eps,
-            intra_block,
-            intra_interf,
-            own_off_cluster,
-            bound,
-        )
+    def _ep_bound_scalar(
+        self, lane: _TaskLane, rows: List[_Row], bound: float
+    ) -> float:
+        """Eq. (1)'s maximum over a narrow enumeration, one row at a time."""
+        terms = [self._row_terms(lane, row) for row in rows]
+        for _off, start, fixed in terms:
+            if _diverges_at_start(start, fixed, bound):
+                _bump(self._counters, "kernel.early.ep_scalar")
+                return _inf
+        worst = 0.0
+        # Row 0 is a longest signature, usually the first to diverge.
+        for row, row_terms in zip(rows, terms):
+            worst = max(worst, self._row_wcrt_scalar(lane, row, row_terms, bound))
+            if math.isinf(worst):
+                break
+        return worst
 
     def _task_wcrt_en_scalar(self, lane: _TaskLane, bound: float) -> float:
         """EN-style bound through the scalar fast path."""
         static = lane.static
+        intra_block = static.en_local_block + sum(
+            lane.full_off[k] for k in lane.use_procs
+        )
+        intra_interf = max(0.0, static.wcet - static.crit_len)
+        start, fixed = _theorem1_terms(
+            static.crit_len, intra_block, intra_interf, 0.0, lane.m_i
+        )
+        if _diverges_at_start(start, fixed, bound):
+            _bump(self._counters, "kernel.early.en")
+            return _inf
         # Windows use an empty path (maximal off-path workload), the blocking
         # multiplier uses the full request counts — each term at its worst.
         eps: Dict[int, float] = {}
@@ -523,13 +609,7 @@ class DpcpPKernel:
                 lane, static.g_L[g] + lane.full_off[k] + beta, k, bound
             )
             eps[k] = eps.get(k, 0.0) + static.g_N[g] * (beta + gamma)
-        intra_block = static.en_local_block + sum(
-            lane.full_off[k] for k in lane.use_procs
-        )
-        intra_interf = max(0.0, static.wcet - static.crit_len)
-        return self._theorem1_scalar(
-            lane, static.crit_len, eps, intra_block, intra_interf, 0.0, bound
-        )
+        return self._theorem1_scalar(lane, eps, start, fixed, bound)
 
     # ------------------------------------------------------------------ #
     # Batched NumPy path (large profile batches)
@@ -573,9 +653,13 @@ class DpcpPKernel:
         return gamma
 
     def _epsilon(
-        self, lane: _TaskLane, nlam_g: np.ndarray, gamma: np.ndarray
+        self, lane: _TaskLane, nlam_g: np.ndarray, gamma
     ) -> np.ndarray:
-        """Lemma 3's per-request view ε per (profile, processor)."""
+        """Lemma 3's per-request view ε per (profile, processor).
+
+        ``gamma`` is the (profile, resource) array of solved windows, or
+        ``0.0`` for ε's window-free floor :math:`N^\\lambda \\beta`.
+        """
         P = nlam_g.shape[0]
         eps = np.zeros((P, self._num_procs))
         if lane.static.ugr:
@@ -586,39 +670,47 @@ class DpcpPKernel:
                 eps[:, k] += contrib[:, j]
         return eps
 
+    def _theorem1_parts(
+        self, lane: _TaskLane, cur: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """The η-dependent parts of one Theorem-1 step at ``cur``.
+
+        ζ per (row, active processor) and the other tasks' agent workload on
+        the task's cluster per row.
+        """
+        oth = self.tables.eta_matrix(cur) * lane.other[:, None]  # (n, K)
+        return oth.T @ self._W_active, oth.T @ lane.w_cluster
+
     def _theorem1_batched(
         self,
         lane: _TaskLane,
-        lengths: np.ndarray,
-        eps: np.ndarray,
-        intra_block: np.ndarray,
-        intra_interf: np.ndarray,
-        own_off_cluster: np.ndarray,
+        eps_active: np.ndarray,
+        start: np.ndarray,
+        fixed: np.ndarray,
+        first: Tuple[np.ndarray, np.ndarray],
         bound: float,
     ) -> np.ndarray:
-        """Theorem 1's fixed point, batched over path profiles."""
-        eps_active = eps[:, self._active_procs]
+        """Theorem 1's fixed point, batched over path profiles.
+
+        ``first`` holds :meth:`_theorem1_parts` at ``start``, the solve's
+        first round; every row must start active (finite, within ``bound``),
+        which :func:`_diverges_at_start` has checked.
+        """
         m_i = lane.m_i
-        fixed = lengths + intra_block + (intra_interf + own_off_cluster) / m_i
-        start = lengths + intra_block + intra_interf / m_i
+        pending = [first]
 
         def step(cur: np.ndarray, idx: np.ndarray) -> np.ndarray:
-            eta = self.tables.eta_matrix(cur)
-            oth = eta * lane.other[:, None]  # (n, K)
-            zeta = oth.T @ self._W_active    # (K, A)
-            blocking = np.minimum(eps_active[idx], zeta).sum(axis=1)
-            agents = oth.T @ lane.w_cluster  # (K,)
-            return fixed[idx] + blocking + agents / m_i
+            zeta, agents = pending.pop() if pending else self._theorem1_parts(lane, cur)
+            return _theorem1_step(fixed, eps_active, zeta, agents, m_i, idx)
 
         return solve_batched(start, step, bound)
 
-    def ep_bounds_batched(
-        self, lane: _TaskLane, cols: _EpColumns, bound: float
-    ) -> np.ndarray:
-        """Theorem-1 bounds of every signature row of a wide enumeration."""
-        self._ensure_batched_arrays(lane)
-        lengths = cols.enumeration.lengths
-        P = len(lengths)
+    def _batched_terms(
+        self, lane: _TaskLane, cols: _EpColumns
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every row's window-free parts: own off-path work per (row,
+        processor), and Theorem 1's ``start`` and ``fixed`` terms."""
+        P = len(cols.enumeration.lengths)
         num_procs = self._num_procs
 
         # Own off-path workload per (row, processor): Eq. (3)'s intra term,
@@ -638,14 +730,61 @@ class DpcpPKernel:
         else:
             own_off_cluster = np.zeros(P)
 
+        start, fixed = _theorem1_terms(
+            cols.enumeration.lengths,
+            intra_block,
+            cols.intra_interf,
+            own_off_cluster,
+            lane.m_i,
+        )
+        return off_w, start, fixed
+
+    def _step_floor(
+        self,
+        lane: _TaskLane,
+        cols: _EpColumns,
+        fixed: np.ndarray,
+        first: Tuple[np.ndarray, np.ndarray],
+    ) -> np.ndarray:
+        """Test 2: every row's first Theorem-1 step with ε at its floor.
+
+        The solve's own first step (same rows, same ζ and agent arrays
+        ``first``, same summation) with every window at γ = 0; γ ≥ 0 only
+        raises ε, so no row's real first step is lower.
+        """
+        eps_floor = self._epsilon(lane, cols.n_g, 0.0)[:, self._active_procs]
+        return _theorem1_step(
+            fixed, eps_floor, *first, lane.m_i, np.arange(len(fixed))
+        )
+
+    def _ep_bound_batched(
+        self, lane: _TaskLane, cols: _EpColumns, bound: float
+    ) -> float:
+        """Eq. (1)'s maximum over the signature rows of a wide enumeration.
+
+        ``inf`` is decided before any Lemma-2 window when some row's
+        iteration must diverge: test 1 on the window-free terms, then test 2
+        on the first step with ε at its floor (DESIGN.md, "A diverging bound
+        is decided before its windows").
+        """
+        self._ensure_batched_arrays(lane)
+        off_w, start, fixed = self._batched_terms(lane, cols)
+        if _diverges_at_start(float(start.max()), float(fixed.max()), bound):
+            _bump(self._counters, "kernel.early.ep_batched")
+            return _inf
+        # The first round's η-dependent parts serve test 2 and the solve.
+        first = self._theorem1_parts(lane, start)
+        if self._step_floor(lane, cols, fixed, first).max() > bound:
+            _bump(self._counters, "kernel.early.ep_batched")
+            return _inf
+
         # Lemma 2 windows and Lemma 3's per-request view.
         gamma = self._request_windows(lane, off_w, cols.req_g, bound)
         eps = self._epsilon(lane, cols.n_g, gamma)
-
-        return self._theorem1_batched(
-            lane, lengths, eps, intra_block, cols.intra_interf,
-            own_off_cluster, bound,
+        bounds = self._theorem1_batched(
+            lane, eps[:, self._active_procs], start, fixed, first, bound
         )
+        return float(bounds.max())
 
     # ------------------------------------------------------------------ #
     # Public per-task bounds
@@ -688,7 +827,9 @@ class DpcpPKernel:
             [requests.get(rid, 0) for rid in static.lres],
             onpath,
         )
-        return self._row_wcrt_scalar(lane, row, divergence_bound)
+        return self._row_wcrt_scalar(
+            lane, row, self._row_terms(lane, row), divergence_bound
+        )
 
     def task_wcrt_ep(
         self,
@@ -699,19 +840,13 @@ class DpcpPKernel:
         """Eq. (1): maximum over the enumerated signatures (EN fallback when truncated)."""
         if divergence_bound is None:
             divergence_bound = task.deadline
+        _bump(self._counters, "kernel.bounds")
         lane = self._lane(task)
         cols = self.ep_columns(task, enumeration)
-        worst = 0.0
         if cols.rows is None:
-            bounds = self.ep_bounds_batched(lane, cols, divergence_bound)
-            if bounds.size:
-                worst = float(bounds.max())
+            worst = self._ep_bound_batched(lane, cols, divergence_bound)
         else:
-            # Row 0 is a longest signature, usually the first to diverge.
-            for row in cols.rows:
-                worst = max(worst, self._row_wcrt_scalar(lane, row, divergence_bound))
-                if math.isinf(worst):
-                    break
+            worst = self._ep_bound_scalar(lane, cols.rows, divergence_bound)
         if math.isinf(worst):
             return _inf
         if not enumeration.exhaustive:
@@ -727,5 +862,6 @@ class DpcpPKernel:
         """EN-style WCRT bound (path request counts as free variables)."""
         if divergence_bound is None:
             divergence_bound = task.deadline
+        _bump(self._counters, "kernel.bounds")
         lane = self._lane(task)
         return self._task_wcrt_en_scalar(lane, divergence_bound)

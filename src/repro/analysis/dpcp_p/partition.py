@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, List, Optional, Tuple
 
 from ...model.platform import (
     Cluster,
@@ -37,20 +37,32 @@ class WfdOutcome:
     reason: str = ""
 
 
+def wfd_order(taskset: TaskSet) -> List[Tuple[int, float]]:
+    """Algorithm 2's placement order: ``(resource, u^Φ_q)`` of every global
+    resource by non-increasing utilization (ties keep resource-id order)."""
+    utilizations = {
+        rid: taskset.resource_utilization(rid) for rid in taskset.global_resources()
+    }
+    resources = sorted(utilizations, key=lambda rid: utilizations[rid], reverse=True)
+    return [(rid, utilizations[rid]) for rid in resources]
+
+
 def wfd_assign_resources(
-    taskset: TaskSet, clusters: Dict[int, Cluster]
+    taskset: TaskSet,
+    clusters: Dict[int, Cluster],
+    order: Optional[List[Tuple[int, float]]] = None,
 ) -> WfdOutcome:
     """Algorithm 2: Worst-Fit-Decreasing assignment of global resources.
 
     Global resources are sorted by non-increasing utilization
     :math:`u^\\Phi_q`; each is placed on the least-loaded processor of the
     cluster with the maximum utilization slack.  The assignment is infeasible
-    when the chosen cluster would exceed its capacity.
+    when the chosen cluster would exceed its capacity.  ``order`` is
+    :func:`wfd_order` of ``taskset``, computed here when not given;
+    Algorithm 1 computes it once for all its passes.
     """
-    utilizations = {
-        rid: taskset.resource_utilization(rid) for rid in taskset.global_resources()
-    }
-    resources = sorted(utilizations, key=lambda rid: utilizations[rid], reverse=True)
+    if order is None:
+        order = wfd_order(taskset)
     capacity: Dict[int, float] = {tid: float(c.size) for tid, c in clusters.items()}
     usage: Dict[int, float] = {
         tid: taskset.task(tid).utilization for tid in clusters
@@ -60,8 +72,7 @@ def wfd_assign_resources(
     }
     assignment: Dict[int, int] = {}
 
-    for rid in resources:
-        utilization = utilizations[rid]
+    for rid, utilization in order:
         best_cluster = max(
             clusters, key=lambda tid: (capacity[tid] - usage[tid], -tid)
         )
@@ -107,6 +118,9 @@ def partition_and_analyze(
             reason="not enough processors for the minimal federated assignment",
         )
     enumerator = enumerator or PathEnumerator()
+    # Resource utilizations do not depend on the clusters: one order serves
+    # every pass.
+    order = wfd_order(taskset)
 
     while True:
         tel = _active_telemetry()
@@ -120,10 +134,10 @@ def partition_and_analyze(
             )
             perf_counter = time.perf_counter
             started = perf_counter()
-            wfd = wfd_assign_resources(taskset, clusters)
+            wfd = wfd_assign_resources(taskset, clusters, order)
             tel.observe("phase.partition", perf_counter() - started)
         else:
-            wfd = wfd_assign_resources(taskset, clusters)
+            wfd = wfd_assign_resources(taskset, clusters, order)
         if not wfd.feasible:
             return SchedulabilityResult(
                 schedulable=False,

@@ -267,12 +267,17 @@ def _merge_max(
 ) -> Dict[int, Tuple[float, float]]:
     """Union of ``code -> (L, D)`` maps, taking the elementwise maximum.
 
-    A single map is returned as is (callers only read the result).
+    A single map is returned as is (callers only read the result).  The
+    largest map is copied and the others are folded into it; ``max`` is
+    exact, so only the order of the codes depends on that choice.
     """
     if len(maps) == 1:
         return maps[0]
-    merged = dict(maps[0])
-    for other in maps[1:]:
+    largest = max(maps, key=len)
+    merged = dict(largest)
+    for other in maps:
+        if other is largest:
+            continue
         for code, (length, cs) in other.items():
             old = merged.get(code)
             if old is None:

@@ -142,6 +142,24 @@ class ComputeProfile:
             "degraded_percent": 100.0 * truncated / enumerated,
         }
 
+    def early_decisions(self) -> "Optional[Dict[str, int]]":
+        """Kernel bounds decided before their Lemma-2 windows, if any ran.
+
+        Returns ``None`` without ``kernel.bounds`` (no DPCP-p kernel bound
+        ran with telemetry); otherwise the bound total and the bounds the
+        kernel's early divergence tests decided, per path (``ep_batched``,
+        ``ep_scalar``, ``en``) and in all (``decided``).
+        """
+        counters = self.telemetry.counters
+        bounds = int(counters.get("kernel.bounds", 0))
+        if not bounds:
+            return None
+        paths = {
+            path: int(counters.get(f"kernel.early.{path}", 0))
+            for path in ("ep_batched", "ep_scalar", "en")
+        }
+        return {"bounds": bounds, "decided": sum(paths.values()), **paths}
+
     def deterministic_counters(self) -> Dict[str, int]:
         """The integer counters (fixed-seed deterministic at any worker count)."""
         return dict(self.telemetry.counters)
@@ -287,6 +305,16 @@ def render_profile(profile: ComputeProfile, top: int = 10) -> str:
         lines.append(
             f"  signatures            {fidelity['signatures']}  "
             f"({fidelity['en_fallbacks']} EN fallback bounds)"
+        )
+    early = profile.early_decisions()
+    if early is not None:
+        if fidelity is None:
+            lines.append("")
+            lines.append("kernel bounds")
+        lines.append(
+            f"  {early['decided']} of {early['bounds']} kernel bounds decided "
+            f"before their windows ({early['ep_batched']} EP batched, "
+            f"{early['ep_scalar']} EP scalar, {early['en']} EN)"
         )
 
     counters = profile.deterministic_counters()
