@@ -22,7 +22,7 @@ from repro.generation import (
 )
 from repro.model import Platform
 from repro.model.platform import minimal_federated_clusters
-from repro.sim import DpcpPSimulator
+from repro.sim import RuntimeSimulator
 
 
 def _config(vertex_max: int) -> TaskSetGenerationConfig:
@@ -136,7 +136,7 @@ def test_bench_simulation(benchmark, workload):
     horizon = 2 * max(task.period for task in taskset)
 
     def simulate():
-        simulator = DpcpPSimulator(result.partition)
+        simulator = RuntimeSimulator(result.partition)
         simulator.release_periodic_jobs(horizon)
         return simulator.run()
 

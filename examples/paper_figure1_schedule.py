@@ -15,7 +15,7 @@ Run with:  python examples/paper_figure1_schedule.py
 
 from __future__ import annotations
 
-from repro.sim import DpcpPSimulator, build_figure1_system
+from repro.sim import RuntimeSimulator, build_figure1_system
 
 
 def main() -> None:
@@ -33,7 +33,7 @@ def main() -> None:
           f"{partition.processor_of_resource(1)}")
     print()
 
-    simulator = DpcpPSimulator(partition, behaviors)
+    simulator = RuntimeSimulator(partition, behaviors)
     simulator.release_job(0, 0.0)
     simulator.release_job(1, 0.0)
     trace = simulator.run()

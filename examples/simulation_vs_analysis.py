@@ -20,7 +20,7 @@ from repro.generation import (
     generate_taskset,
 )
 from repro.model import Platform
-from repro.sim import DpcpPSimulator
+from repro.sim import RuntimeSimulator
 
 
 def main() -> None:
@@ -44,7 +44,7 @@ def main() -> None:
         if not result.schedulable:
             continue
         analysed += 1
-        simulator = DpcpPSimulator(result.partition)
+        simulator = RuntimeSimulator(result.partition)
         simulator.release_periodic_jobs(3 * max(t.period for t in taskset))
         trace = simulator.run()
 

@@ -6,7 +6,7 @@ The package is organised as follows:
 * :mod:`repro.model` — DAG tasks, shared resources, platforms, priorities.
 * :mod:`repro.generation` — synthetic workload generation (Sec. VII-A).
 * :mod:`repro.analysis` — DPCP-p (EP/EN) schedulability analysis plus the
-  SPIN, LPP, and FED-FP baselines, and the classic DPCP for sequential tasks.
+  SPIN, LPP, and FED-FP baselines.
 * :mod:`repro.sim` — discrete-event simulator of the DPCP-p runtime protocol.
 * :mod:`repro.experiments` — the schedulability experiment harness:
   scenarios, sweeps, and the metrics behind the paper's Fig. 2 and

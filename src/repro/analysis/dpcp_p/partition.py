@@ -25,7 +25,7 @@ from ...model.task import TaskSet
 from ...obs.telemetry import active as _active_telemetry
 from ..interfaces import SchedulabilityResult, TaskAnalysis
 from ..paths import PathEnumerator
-from .wcrt import DEFAULT_ENGINE, MODE_EN, MODE_EP, _iter_task_analyses
+from .wcrt import DEFAULT_ENGINE, MODE_EP, _iter_task_analyses
 
 
 @dataclass

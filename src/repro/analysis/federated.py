@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from typing import Callable, Dict, Optional
 
-from ..model.platform import Cluster, PartitionedSystem, Platform, minimal_federated_clusters
+from ..model.platform import PartitionedSystem, Platform, minimal_federated_clusters
 from ..model.task import DAGTask, TaskSet
 from .interfaces import SchedulabilityResult, TaskAnalysis
 

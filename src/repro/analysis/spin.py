@@ -42,22 +42,6 @@ from .interfaces import SchedulabilityResult, SchedulabilityTest
 from .rta import ceil_div_jobs, least_fixed_point
 
 
-def per_request_spin_delay(
-    taskset: TaskSet, task: DAGTask, resource_id: int, cluster_size: int
-) -> float:
-    """Worst-case spin delay of a single request to ``resource_id``.
-
-    FIFO ordering admits at most one earlier critical section per other task
-    that uses the resource, plus the task's own concurrently spinning
-    vertices.
-    """
-    delay = inter_task_spin_delay(taskset, task, resource_id)
-    own_count = task.request_count(resource_id)
-    if own_count > 1:
-        delay += min(cluster_size - 1, own_count - 1) * task.cs_length(resource_id)
-    return delay
-
-
 def inter_task_spin_delay(taskset: TaskSet, task: DAGTask, resource_id: int) -> float:
     """Inter-task part of the per-request spin delay (one CS per other task)."""
     delay = 0.0

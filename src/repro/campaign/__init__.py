@@ -14,7 +14,6 @@ from .executor import (
     assemble_campaign,
     assemble_sweep,
     build_protocols,
-    execute_plan,
     execute_unit,
     execute_units,
     plan_runner,
@@ -45,7 +44,6 @@ __all__ = [
     "assemble_campaign",
     "assemble_sweep",
     "build_protocols",
-    "execute_plan",
     "execute_unit",
     "execute_units",
     "plan_runner",

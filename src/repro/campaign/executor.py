@@ -899,49 +899,6 @@ def execute_units(
     return [completed[unit.unit_id] for unit in units if unit.unit_id in completed]
 
 
-def execute_plan(
-    plan: CampaignPlan,
-    *,
-    protocols: Optional[Sequence[SchedulabilityTest]] = None,
-    workers: int = 1,
-    store: Optional[CampaignStore] = None,
-    progress: Optional[UnitProgress] = None,
-    chunk_size: Optional[int] = None,
-    max_units: Optional[int] = None,
-    telemetry: bool = False,
-    events: Optional[EventSink] = None,
-    retry: Optional[RetryPolicy] = None,
-    unit_deadline: Optional[float] = None,
-) -> List[UnitResult]:
-    """Execute every unit of a planned campaign (see :func:`execute_units`).
-
-    The unit runner follows the plan's mode: simulate-mode plans run every
-    unit through :func:`execute_unit` with the plan's
-    :class:`~repro.sim.validation.SimulationConfig`.  ``telemetry`` turns
-    on per-unit telemetry aggregation and ``events`` receives the unit
-    lifecycle events — both strictly out-of-band (``results.jsonl`` bytes
-    are identical either way).  ``retry`` and ``unit_deadline`` configure
-    the fault handling of :func:`execute_units`.
-    """
-    if protocols is None:
-        protocols = build_protocols(
-            plan.protocol_names, plan.config.max_path_signatures
-        )
-    return execute_units(
-        plan.units,
-        protocols,
-        workers=workers,
-        store=store,
-        progress=progress,
-        chunk_size=chunk_size,
-        max_units=max_units,
-        runner=plan_runner(plan, telemetry=telemetry),
-        events=events,
-        retry=retry,
-        unit_deadline=unit_deadline,
-    )
-
-
 # --------------------------------------------------------------------------- #
 # Curve assembly
 # --------------------------------------------------------------------------- #

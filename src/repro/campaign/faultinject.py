@@ -34,7 +34,7 @@ import hashlib
 import json
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 #: Environment variable naming the JSON fault-plan file; set for a campaign

@@ -86,10 +86,6 @@ class SweepCurve:
         """Total number of task sets evaluated over the sweep."""
         return sum(self.sampled)
 
-    def normalized_utilizations(self, platform_size: int) -> List[float]:
-        """Utilization points divided by the platform size (the figure x-axis)."""
-        return [u / platform_size for u in self.utilizations]
-
 
 def outperforms(a: SweepCurve, b: SweepCurve) -> bool:
     """Whether protocol ``a`` scheduled strictly more task sets than ``b``."""
@@ -154,18 +150,6 @@ class PairwiseStatistics:
                     self.dominance[a][b] += 1
                 if outperforms(curves[a], curves[b]):
                     self.outperformance[a][b] += 1
-
-    def dominance_fraction(self, a: str, b: str) -> float:
-        """Fraction of scenarios where ``a`` dominates ``b``."""
-        if self.scenario_count == 0:
-            return 0.0
-        return self.dominance[a][b] / self.scenario_count
-
-    def outperformance_fraction(self, a: str, b: str) -> float:
-        """Fraction of scenarios where ``a`` outperforms ``b``."""
-        if self.scenario_count == 0:
-            return 0.0
-        return self.outperformance[a][b] / self.scenario_count
 
 
 #: Number of equal-width histogram bins over the ratio range ``[0, 1]``.

@@ -16,7 +16,7 @@ in steps of 0.05 and measures the acceptance ratio of every protocol.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import List, Tuple
 
 from ..generation.dag_gen import DagGenerationConfig
@@ -102,10 +102,6 @@ class Scenario:
             points.append(min(value, float(m)))
             value += step
         return points
-
-    def with_vertices(self, num_vertices_range: Tuple[int, int]) -> "Scenario":
-        """Copy of the scenario with a different DAG vertex-count range."""
-        return replace(self, num_vertices_range=num_vertices_range)
 
 
 def full_grid(

@@ -1,7 +1,7 @@
 """Synthetic workload generation (Sec. VII-A of the paper)."""
 
 from .dag_gen import DagGenerationConfig, erdos_renyi_dag, random_dag
-from .periods import DEFAULT_PERIOD_RANGE_US, log_uniform_period, log_uniform_periods
+from .periods import DEFAULT_PERIOD_RANGE_US, log_uniform_period
 from .randfixedsum import GenerationError, rand_fixed_sum, utilizations_for_total
 from .resources_gen import (
     ResourceDemandDraw,
@@ -19,7 +19,6 @@ __all__ = [
     "random_dag",
     "DEFAULT_PERIOD_RANGE_US",
     "log_uniform_period",
-    "log_uniform_periods",
     "GenerationError",
     "rand_fixed_sum",
     "utilizations_for_total",

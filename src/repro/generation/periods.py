@@ -26,16 +26,3 @@ def log_uniform_period(
         raise GenerationError("period range must satisfy 0 < low <= high")
     generator = ensure_rng(rng)
     return float(np.exp(generator.uniform(np.log(low), np.log(high))))
-
-
-def log_uniform_periods(
-    count: int,
-    low: float = DEFAULT_PERIOD_RANGE_US[0],
-    high: float = DEFAULT_PERIOD_RANGE_US[1],
-    rng: RngLike = None,
-) -> np.ndarray:
-    """Draw ``count`` independent log-uniform periods over ``[low, high]``."""
-    if count < 0:
-        raise GenerationError("count must be non-negative")
-    generator = ensure_rng(rng)
-    return np.exp(generator.uniform(np.log(low), np.log(high), size=count))

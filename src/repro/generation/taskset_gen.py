@@ -28,7 +28,6 @@ from .dag_gen import DagGenerationConfig, random_dag
 from .periods import DEFAULT_PERIOD_RANGE_US, log_uniform_period
 from .randfixedsum import GenerationError, utilizations_for_total
 from .resources_gen import (
-    ResourceDemandDraw,
     ResourceGenerationConfig,
     distribute_requests_over_vertices,
     draw_num_resources,

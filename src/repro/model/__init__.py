@@ -9,9 +9,7 @@ from .platform import (
     minimal_federated_clusters,
 )
 from .priorities import (
-    assign_deadline_monotonic,
     assign_rate_monotonic,
-    deadline_monotonic,
     rate_monotonic,
 )
 from .resources import Resource, ResourceError, ResourceUsage, classify_resources
@@ -27,9 +25,7 @@ __all__ = [
     "Platform",
     "PlatformError",
     "minimal_federated_clusters",
-    "assign_deadline_monotonic",
     "assign_rate_monotonic",
-    "deadline_monotonic",
     "rate_monotonic",
     "Resource",
     "ResourceError",

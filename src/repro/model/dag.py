@@ -171,10 +171,6 @@ class DAG:
         """
         return self._pred
 
-    def has_edge(self, src: int, dst: int) -> bool:
-        """Whether the edge ``src -> dst`` exists."""
-        return (src, dst) in self._edges
-
     def sources(self) -> List[int]:
         """Head vertices: vertices without predecessors."""
         return [v for v in range(self._n) if not self._pred[v]]

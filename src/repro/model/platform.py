@@ -11,9 +11,9 @@ resource.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
-from .task import DAGTask, TaskSet, TaskError
+from .task import TaskSet, TaskError
 
 
 class PlatformError(ValueError):
@@ -175,30 +175,6 @@ class PartitionedSystem:
         return sorted(
             rid for rid, proc in self.resource_assignment.items() if proc in procs
         )
-
-    def processor_resource_utilization(self, processor: int) -> float:
-        """:math:`u^\\wp_k` — total utilization of global resources on a processor."""
-        return sum(
-            self.taskset.resource_utilization(rid)
-            for rid in self.resources_on_processor(processor)
-        )
-
-    def cluster_utilization(self, task_id: int) -> float:
-        """Utilization of a cluster: owner task + hosted global resources."""
-        task = self.taskset.task(task_id)
-        hosted = sum(
-            self.taskset.resource_utilization(rid)
-            for rid in self.resources_on_cluster(task_id)
-        )
-        return task.utilization + hosted
-
-    def cluster_capacity(self, task_id: int) -> float:
-        """Capacity of a cluster (its number of processors)."""
-        return float(self.num_processors_of(task_id))
-
-    def cluster_slack(self, task_id: int) -> float:
-        """Utilization slack of a cluster (capacity minus utilization)."""
-        return self.cluster_capacity(task_id) - self.cluster_utilization(task_id)
 
     def copy(self) -> "PartitionedSystem":
         """Deep-ish copy (clusters and the resource assignment are copied)."""

@@ -30,11 +30,6 @@ def rate_monotonic(tasks: Sequence[DAGTask]) -> Dict[int, int]:
     return _assign(tasks, key=lambda t: t.period)
 
 
-def deadline_monotonic(tasks: Sequence[DAGTask]) -> Dict[int, int]:
-    """Deadline Monotonic: shorter relative deadline → higher priority."""
-    return _assign(tasks, key=lambda t: t.deadline)
-
-
 def apply_priorities(tasks: Sequence[DAGTask], priorities: Dict[int, int]) -> None:
     """Write a priority mapping back onto the task objects (in place)."""
     for task in tasks:
@@ -46,8 +41,3 @@ def apply_priorities(tasks: Sequence[DAGTask], priorities: Dict[int, int]) -> No
 def assign_rate_monotonic(tasks: Sequence[DAGTask]) -> None:
     """Convenience: compute and apply Rate Monotonic priorities in place."""
     apply_priorities(tasks, rate_monotonic(tasks))
-
-
-def assign_deadline_monotonic(tasks: Sequence[DAGTask]) -> None:
-    """Convenience: compute and apply Deadline Monotonic priorities in place."""
-    apply_priorities(tasks, deadline_monotonic(tasks))

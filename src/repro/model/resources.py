@@ -68,15 +68,6 @@ class ResourceUsage:
             if any(n < 0 for n in self.per_vertex_requests.values()):
                 raise ResourceError("per-vertex request counts must be >= 0")
 
-    @property
-    def total_cs_time(self) -> float:
-        """Maximum cumulative critical-section time, :math:`N_{i,q} L_{i,q}`."""
-        return self.max_requests * self.cs_length
-
-    def requests_of_vertex(self, vertex: int) -> int:
-        """Requests issued by ``vertex`` (0 if the vertex does not use it)."""
-        return self.per_vertex_requests.get(vertex, 0)
-
 
 def classify_resources(
     usages_by_task: Mapping[int, Iterable[ResourceUsage]],

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from .dag import DAG, DAGError, PathProfile
+from .dag import DAG, PathProfile
 from .resources import Resource, ResourceError, ResourceUsage, classify_resources
 
 
@@ -208,16 +208,6 @@ class DAGTask:
         return self.wcet / self.period
 
     @property
-    def density(self) -> float:
-        """:math:`C_i / D_i` (used to classify heavy vs. light tasks)."""
-        return self.wcet / self.deadline
-
-    @property
-    def is_heavy(self) -> bool:
-        """Heavy tasks have :math:`C_i / D_i > 1` under federated scheduling."""
-        return self.density > 1.0
-
-    @property
     def critical_path_length(self) -> float:
         """:math:`L^*_i` — length of the longest path of the DAG.
 
@@ -231,11 +221,6 @@ class DAGTask:
         value = self.dag.longest_path_length([v.wcet for v in self.vertices])
         self._critical_path_cache = (self.dag.num_edges, value)
         return value
-
-    @property
-    def non_critical_wcet(self) -> float:
-        """:math:`C'_i = C_i - \\sum_q N_{i,q} L_{i,q}`."""
-        return self.wcet - sum(u.total_cs_time for u in self._usages.values())
 
     def vertex_non_critical_wcets(self) -> List[float]:
         """Per-vertex :math:`C'_{i,x}`: WCET minus the vertex's critical sections.

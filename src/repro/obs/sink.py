@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, List, Tuple
 
 from .events import Event, event_from_record
 

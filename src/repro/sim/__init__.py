@@ -17,11 +17,9 @@ from .protocols import (
     behavior_for,
 )
 from .simulator import (
-    DpcpPSimulator,
     RuntimeSimulator,
     SimulationError,
     SimulationTruncated,
-    simulate_periodic,
 )
 from .trace import ExecutionInterval, JobRecord, RequestRecord, SimulationTrace
 from .validation import (
@@ -48,11 +46,9 @@ __all__ = [
     "LppBehavior",
     "RUNTIME_BEHAVIORS",
     "behavior_for",
-    "DpcpPSimulator",
     "RuntimeSimulator",
     "SimulationError",
     "SimulationTruncated",
-    "simulate_periodic",
     "ExecutionInterval",
     "JobRecord",
     "RequestRecord",

@@ -573,25 +573,3 @@ class RuntimeSimulator:
             self.interval_observer(interval)
         if self.record_trace:
             self.trace.add_interval(interval)
-
-
-class DpcpPSimulator(RuntimeSimulator):
-    """Backwards-compatible name for the DPCP-p-defaulting simulator.
-
-    ``RuntimeSimulator`` already defaults to
-    :class:`~repro.sim.protocols.DpcpPBehavior`; this subclass exists so the
-    pre-refactor name (and every existing call site) keeps working.
-    """
-
-
-def simulate_periodic(
-    partition: PartitionedSystem,
-    horizon: float,
-    behaviors: Optional[Dict[int, Dict[int, VertexBehavior]]] = None,
-    *,
-    protocol=None,
-) -> SimulationTrace:
-    """Convenience wrapper: release periodic jobs up to ``horizon`` and run."""
-    simulator = RuntimeSimulator(partition, behaviors, protocol=protocol)
-    simulator.release_periodic_jobs(horizon)
-    return simulator.run()

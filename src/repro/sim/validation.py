@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional
+from typing import Dict, Mapping, Optional
 
 from ..model.platform import PartitionedSystem
 from ..model.task import TaskSet

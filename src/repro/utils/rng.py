@@ -7,7 +7,7 @@ it through :func:`ensure_rng` so that experiments are reproducible end to end.
 
 from __future__ import annotations
 
-from typing import List, Optional, Union
+from typing import List, Union
 
 import numpy as np
 

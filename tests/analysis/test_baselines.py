@@ -18,7 +18,6 @@ from repro.analysis.lpp import (
 from repro.analysis.spin import (
     SpinTest,
     inter_task_spin_delay,
-    per_request_spin_delay,
     spin_wcrt,
 )
 from repro.generation import (
@@ -108,9 +107,13 @@ def test_spin_delay_components():
     task0, task1 = taskset.task(0), taskset.task(1)
     # One critical section of the other task.
     assert inter_task_spin_delay(taskset, task0, 0) == pytest.approx(2.0)
-    # Intra-task spinning: min(m-1, N-1) * L = min(1, 2) * 2 with 2 processors.
-    assert per_request_spin_delay(taskset, task0, 0, cluster_size=2) == pytest.approx(4.0)
-    assert per_request_spin_delay(taskset, task1, 0, cluster_size=3) == pytest.approx(6.0)
+    # Each of task 1's three requests waits for one critical section of
+    # task 0 (2) plus intra-task spinning, min(m-1, N-1) * L: 1 * 2 on 2
+    # processors, 2 * 2 on 3, and still 2 * 2 on 4 (capped at N-1), on top
+    # of L* + (C - L*) / m.  (Task 0's bound exceeds its deadline.)
+    assert spin_wcrt(taskset, task1, 2, {}) == pytest.approx(20.0 + 3 * (2.0 + 2.0))
+    assert spin_wcrt(taskset, task1, 3, {}) == pytest.approx(10.0 + 20.0 / 3 + 3 * (2.0 + 4.0))
+    assert spin_wcrt(taskset, task1, 4, {}) == pytest.approx(15.0 + 3 * (2.0 + 4.0))
 
 
 def test_spin_wcrt_reduces_to_federated_without_resources():

@@ -9,7 +9,6 @@ from repro.campaign.executor import (
     UnitResult,
     assemble_campaign,
     build_protocols,
-    execute_plan,
     execute_units,
 )
 from repro.campaign.planner import campaign_manifest, plan_campaign
@@ -113,13 +112,6 @@ def test_store_checkpoints_and_skips_finished_units(scenarios, config, tmp_path)
     assert progressed[0] is None
     assert len([r for r in progressed if r is not None]) == len(plan.units) - 3
     assert len(store.completed_ids()) == len(plan.units)
-
-
-def test_execute_plan_builds_protocols_from_names(scenarios, config):
-    plan = plan_campaign([scenarios[0]], config, ["SPIN"])
-    results = execute_plan(plan)
-    assert all(set(r.accepted) == {"SPIN"} for r in results)
-    assert len(results) == len(plan.units)
 
 
 def test_assemble_campaign_rejects_or_skips_partial(scenarios, config):

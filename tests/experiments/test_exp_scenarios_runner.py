@@ -70,9 +70,6 @@ def test_scenario_generation_config_roundtrip():
     assert config.average_utilization == 2.0
     assert config.resources.access_probability == 0.75
     assert config.dag.num_vertices_range == (10, 20)
-    smaller = scenario.with_vertices((5, 8))
-    assert smaller.num_vertices_range == (5, 8)
-    assert smaller.platform_size == scenario.platform_size
 
 
 # --------------------------------------------------------------------------- #

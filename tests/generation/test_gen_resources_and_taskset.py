@@ -135,7 +135,7 @@ def test_generate_task_matches_requested_utilization():
 def test_generate_task_respects_cs_budget():
     config = small_config()
     task = generate_task(0, 1.2, 4, config, rng=3)
-    cs_total = sum(u.total_cs_time for u in task.resource_usages.values())
+    cs_total = sum(u.max_requests * u.cs_length for u in task.resource_usages.values())
     assert cs_total <= config.cs_budget_fraction * task.wcet + 1e-6
     for vertex in task.vertices:
         floor = sum(c * task.cs_length(r) for r, c in vertex.requests.items())
@@ -196,4 +196,5 @@ def test_property_generated_tasksets_are_plausible(total, seed):
     assert validate_taskset(taskset) == []
     for task in taskset:
         assert task.critical_path_length < task.deadline / 2 + 1e-6
-        assert task.non_critical_wcet >= -1e-6
+        critical = sum(u.max_requests * u.cs_length for u in task.resource_usages.values())
+        assert task.wcet - critical >= -1e-6

@@ -84,9 +84,7 @@ def test_add_forward_edges_rejects_the_whole_batch():
 
 def test_accepts_edge_objects():
     dag = DAG(3, [Edge(0, 1), Edge(1, 2)])
-    assert dag.has_edge(0, 1)
-    assert dag.has_edge(1, 2)
-    assert not dag.has_edge(0, 2)
+    assert dag.edges == {(0, 1), (1, 2)}
 
 
 # --------------------------------------------------------------------------- #
@@ -190,7 +188,7 @@ def test_paths_follow_edges():
     dag = DAG(5, [(0, 1), (1, 2), (0, 3), (3, 4)])
     for path in dag.iter_complete_paths():
         for a, b in zip(path, path[1:]):
-            assert dag.has_edge(a, b)
+            assert b in dag.successors(a)
 
 
 # --------------------------------------------------------------------------- #

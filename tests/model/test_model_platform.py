@@ -110,16 +110,6 @@ def test_partition_resource_queries(two_task_system):
     # Resource 5 lives on processor 3, which belongs to task 1's cluster.
     assert partition.resources_on_cluster(1) == [5]
     assert partition.resources_on_cluster(0) == []
-    expected_utilization = taskset.resource_utilization(5)
-    assert partition.processor_resource_utilization(3) == pytest.approx(
-        expected_utilization
-    )
-    assert partition.cluster_utilization(1) == pytest.approx(
-        taskset.task(1).utilization + expected_utilization
-    )
-    assert partition.cluster_slack(0) == pytest.approx(
-        3.0 - taskset.task(0).utilization
-    )
 
 
 def test_partition_copy_is_independent(two_task_system):

@@ -7,22 +7,14 @@ import pytest
 from repro.model.dag import DAG
 from repro.model.priorities import (
     apply_priorities,
-    assign_deadline_monotonic,
     assign_rate_monotonic,
-    deadline_monotonic,
     rate_monotonic,
 )
 from repro.model.task import DAGTask, Vertex
 
 
-def simple_task(task_id, period, deadline=None):
-    return DAGTask(
-        task_id=task_id,
-        vertices=[Vertex(0, 1.0)],
-        dag=DAG(1),
-        period=period,
-        deadline=deadline,
-    )
+def simple_task(task_id, period):
+    return DAGTask(task_id=task_id, vertices=[Vertex(0, 1.0)], dag=DAG(1), period=period)
 
 
 def test_rate_monotonic_orders_by_period():
@@ -31,16 +23,6 @@ def test_rate_monotonic_orders_by_period():
     # Shorter period -> higher priority value.
     assert priorities[1] > priorities[2] > priorities[0]
     assert sorted(priorities.values()) == [1, 2, 3]
-
-
-def test_deadline_monotonic_orders_by_deadline():
-    tasks = [
-        simple_task(0, 100.0, deadline=90.0),
-        simple_task(1, 100.0, deadline=10.0),
-        simple_task(2, 100.0, deadline=50.0),
-    ]
-    priorities = deadline_monotonic(tasks)
-    assert priorities[1] > priorities[2] > priorities[0]
 
 
 def test_ties_broken_by_task_id_deterministically():
@@ -55,8 +37,8 @@ def test_apply_priorities_in_place():
     tasks = [simple_task(0, 100.0), simple_task(1, 10.0)]
     assign_rate_monotonic(tasks)
     assert tasks[1].priority > tasks[0].priority
-    assign_deadline_monotonic(tasks)
-    assert tasks[1].priority > tasks[0].priority
+    apply_priorities(tasks, {0: 2, 1: 1})
+    assert tasks[0].priority > tasks[1].priority
 
 
 def test_apply_priorities_requires_every_task():

