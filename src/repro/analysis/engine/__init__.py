@@ -1,25 +1,21 @@
-"""Protocol-agnostic analysis engine: compiled coefficient tables and solvers.
+"""Analysis engine of the DPCP-p kernel: compiled coefficient tables and solvers.
 
-The DPCP-p kernel's WCRT analyses share one computational skeleton:
-compile, once per task set, the interval-independent coefficients their
-recurrences reuse (per-``(task, resource)`` request counts
-and critical-section lengths, η parameters, priority masks, sparse
-``(task, weight)`` workload columns), then iterate monotone least fixed
-points over them.  PR 2 built that machinery inside the DPCP-p kernel; this
-package promotes it into a reusable layer:
+The DPCP-p kernel compiles, once per task set, the interval-independent
+coefficients its recurrences reuse (per-``(task, resource)`` request counts
+and critical-section lengths, η parameters, priorities, dense per-resource
+fold rows), then iterates monotone least fixed points over them:
 
 * :mod:`.tables` — :class:`CompiledTaskset` / :class:`CompiledTask`, the
-  protocol-agnostic static arrays plus the sparse column layout, shared by
-  DPCP-p-EP and -EN over the same task set (and across Algorithm 1's
-  partition retries);
+  task-static tables shared by DPCP-p-EP and -EN over the same task set
+  (and across Algorithm 1's partition retries);
 * :mod:`.solver` — the inline-scalar and batched-NumPy least-fixed-point
-  solvers with the converged / diverged / no-convergence status semantics
-  that :mod:`repro.analysis.rta` and the DPCP-p kernel previously each
-  implemented on their own.
+  solvers with the converged / diverged / no-convergence status semantics;
+  :mod:`repro.analysis.rta` exposes the scalar one to the straight-line
+  analyses.
 
-The DPCP-p kernel builds its partition-dependent coefficients on these
-tables; see :mod:`repro.analysis.dpcp_p.kernel`.  The SPIN and LPP
-baselines are straight-line analyses and read the task set directly.
+The kernel builds its partition-dependent coefficients on these tables; see
+:mod:`repro.analysis.dpcp_p.kernel`.  The SPIN and LPP baselines are
+straight-line analyses and read the task set directly.
 """
 
 from .solver import (

@@ -1,4 +1,4 @@
-"""Least-fixed-point solvers shared by every analysis in the library.
+"""Least-fixed-point solvers of the DPCP-p kernel and the straight-line analyses.
 
 The paper's WCRT bounds (Theorem 1, Lemma 2) and the baselines' blocking
 windows are least fixed points of monotone recurrences ``x = f(x)``.  Two
@@ -7,16 +7,14 @@ execution strategies cover every call site:
 * :func:`solve_scalar` — one recurrence at a time, with the status semantics
   (:data:`CONVERGED` / :data:`DIVERGED` / :data:`NO_CONVERGENCE`) that
   :mod:`repro.analysis.rta` exposes to the straight-line analyses and that
-  the compiled kernels use directly;
+  the DPCP-p kernel uses directly;
 * :func:`solve_batched` — a batch of independent fixed points iterated
   elementwise with NumPy, retiring entries as they converge or diverge.
   This is what makes wide-DAG EP analyses (thousands of path signatures)
   cheap.
 
-Before PR 3 these two implementations lived apart — the scalar one in
-``rta.py``, the batched one inside the DPCP-p kernel — with the convergence
-rules (defensive non-decrease clamp, divergence bound, absolute tolerance,
-iteration cap) duplicated between them.  They are now defined once, here.
+Both share one set of convergence rules (defensive non-decrease clamp,
+divergence bound, absolute tolerance, iteration cap), defined here.
 """
 
 from __future__ import annotations
@@ -39,7 +37,7 @@ DEFAULT_MAX_ITERATIONS = 10_000
 #: Guard subtracted inside the η ceiling so that exact multiples of the
 #: period are not rounded up by floating-point noise.  Shared by
 #: :func:`repro.analysis.rta.ceil_div_jobs`, the compiled tables'
-#: η evaluation, and every inline η loop in the protocol kernels.
+#: η evaluation, and every inline η loop in the DPCP-p kernel.
 ETA_GUARD = 1e-12
 
 #: Status values returned by :func:`solve_scalar`.
@@ -114,7 +112,7 @@ def solve_scalar(
     # This runs O(100) times per schedulability test, so the recording cost
     # must stay near the ≤2% overhead budget's noise floor: one read of the
     # session hook (the active bundle's preloaded ``list.append``) and one
-    # GC-invisible encoded int, tallied lazily by ScalarSolveStats.fold_into.
+    # GC-invisible encoded int, tallied lazily by ScalarSolves.fold_into.
     append = _obs_telemetry._SOLVE_APPEND
     if append is not None:
         if status is CONVERGED:

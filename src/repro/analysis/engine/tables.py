@@ -1,19 +1,19 @@
-"""Compiled, protocol-agnostic coefficient tables for one task set.
+"""Compiled task-static coefficient tables of one task set (DPCP-p kernel).
 
-Every WCRT analysis in this library keeps re-reading the same task-static
-data on each fixed-point iteration: per-``(task, resource)`` request counts
+The DPCP-p kernel keeps re-reading the same task-static data on each
+fixed-point iteration: per-``(task, resource)`` request counts
 :math:`N_{j,q}` and critical-section lengths :math:`L_{j,q}`, the η
 parameters (periods and carried-in response-time bounds), priorities, and
 the global/local resource classification.  :class:`CompiledTaskset` compiles
-all of it **once per task set** into plain lists, NumPy arrays, and sparse
-``(task, weight)`` columns, and is shared
+all of it **once per task set** into plain lists, NumPy arrays, and dense
+per-resource fold rows, and is shared
 
 * across the DPCP-p tests analysing the same task set (a campaign work unit
   runs DPCP-p-EP and -EN over one generated task set — both read the same
   tables through :func:`compile_taskset`),
 * across the partition retries of Algorithm 1 (only the partition changes
   there, never the task-static data), and
-* across the DPCP-p kernel's per-task EP columns built on top, which cache
+* across the kernel's per-task EP columns built on top, which cache
   themselves in :attr:`CompiledTaskset.protocol_cache`.
 
 The only mutable entry is the carried-in response-time vector used inside
@@ -29,21 +29,18 @@ from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from ...model.resources import ResourceError
 from ...model.task import DAGTask, TaskSet
 from ...obs.telemetry import active as _active_telemetry
+from .solver import ETA_GUARD
 
 
 @dataclass
 class CompiledTask:
-    """Per-task static tables (independent of partitions and protocols)."""
+    """Per-task static tables (independent of partitions)."""
 
-    used: List[int]                     # resources the task uses (sorted)
-    N: List[float]                      # request counts N_{i,q} over ``used``
-    L: List[float]                      # critical-section lengths L_{i,q}
     ugr: List[int]                      # global resources the task uses (sorted)
-    g_N: List[float]
-    g_L: List[float]
+    g_N: List[float]                    # request counts N_{i,q} over ``ugr``
+    g_L: List[float]                    # critical-section lengths L_{i,q}
     lres: List[int]                     # local resources the task uses
     l_N: List[float]
     l_L: List[float]
@@ -88,7 +85,6 @@ class CompiledTaskset:
         self.prios = np.array([t.priority for t in tasks])
         self.periods_list: List[float] = [t.period for t in tasks]
         self.prios_list: List[int] = [t.priority for t in tasks]
-        self.local_resources: List[int] = taskset.local_resources()
         self._global = frozenset(taskset.global_resources())
         #: Per task: ``rid -> (N_{j,q}, L_{j,q})`` for every declared usage.
         self.usages: List[Dict[int, Tuple[float, float]]] = [
@@ -98,18 +94,15 @@ class CompiledTaskset:
             }
             for t in tasks
         ]
-        self.ceilings: Dict[int, int] = {}
         #: Carried-in response-time bounds R_j used inside η_j — the only
         #: mutable analysis state; refresh via :meth:`sync_response_times`.
         self.carried = self.deadlines.copy()
         self.carried_list: List[float] = self.carried.tolist()
         self._task_tables: Dict[int, CompiledTask] = {}
-        self._users: Dict[int, List[Tuple[int, float, float]]] = {}
-        self._user_arrays: Dict[int, Tuple[np.ndarray, ...]] = {}
         self._fold_rows: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-        #: Protocol-specific column caches (the DPCP-p kernel's EP columns),
-        #: so a protocol compiles its per-task columns once per task set no
-        #: matter how many tests run over it.
+        #: Kernel column caches (the DPCP-p kernel's EP columns), so the
+        #: per-task columns are compiled once per task set no matter how
+        #: many tests run over it.
         self.protocol_cache: Dict[str, object] = {}
 
     # ------------------------------------------------------------------ #
@@ -130,8 +123,6 @@ class CompiledTaskset:
 
     def eta_matrix(self, intervals: np.ndarray) -> np.ndarray:
         """η_j(L) for every task (rows) over every interval (columns)."""
-        from .solver import ETA_GUARD
-
         x = np.maximum(intervals, 0.0)[None, :] + self.carried[:, None]
         x /= self.periods[:, None]
         x -= ETA_GUARD
@@ -155,9 +146,6 @@ class CompiledTaskset:
         l_L = [usage[r][1] for r in lres]
         noncrit = task.vertex_non_critical_wcets()
         tables = CompiledTask(
-            used=used,
-            N=[usage[r][0] for r in used],
-            L=[usage[r][1] for r in used],
             ugr=ugr,
             g_N=[usage[r][0] for r in ugr],
             g_L=[usage[r][1] for r in ugr],
@@ -174,65 +162,36 @@ class CompiledTaskset:
         return tables
 
     # ------------------------------------------------------------------ #
-    # Sparse per-resource columns
+    # Dense per-resource fold rows
     # ------------------------------------------------------------------ #
-    def users(self, resource_id: int) -> List[Tuple[int, float, float]]:
-        """Sparse user column of a resource: ``[(task index, N, L), ...]``.
-
-        Covers every task with at least one request to ``resource_id``;
-        :meth:`user_arrays` and :meth:`resource_ceiling` are built from it.
-        """
-        col = self._users.get(resource_id)
-        if col is None:
-            col = []
-            for j, usage in enumerate(self.usages):
-                pair = usage.get(resource_id)
-                if pair is not None and pair[0] > 0:
-                    col.append((j, pair[0], pair[1]))
-            self._users[resource_id] = col
-        return col
-
-    def user_arrays(
-        self, resource_id: int
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Array view of :meth:`users`: ``(indices, N*L work, L, priorities)``.
-
-        Cached per resource; the partition-dependent kernels use it to fold
-        a whole user column into their coefficient matrices with a handful
-        of NumPy calls instead of a per-task Python loop.
-        """
-        arrays = self._user_arrays.get(resource_id)
-        if arrays is None:
-            col = self.users(resource_id)
-            idx = np.array([j for j, _n, _l in col], dtype=np.intp)
-            work = np.array([n * l for _j, n, l in col])
-            cs = np.array([l for _j, _n, l in col])
-            arrays = (idx, work, cs, self.prios[idx])
-            self._user_arrays[resource_id] = arrays
-        return arrays
-
     def fold_rows(self, resource_id: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Dense per-task fold rows of one resource: ``(work, beta)``.
+        """Dense per-task fold rows of one resource: ``(work, beta)`` (cached).
 
         ``work[j]`` is task :math:`\\tau_j`'s request workload
         :math:`N_{j,q} L_{j,q}` on the resource; ``beta[i]`` is the longest
         critical section a lower-priority user can hold against
-        :math:`\\tau_i` under the resource's priority ceiling.  Both depend
-        only on task-static data, so the partition-dependent kernels fold a
-        whole resource assignment with one ``np.add.at`` /
-        ``np.maximum.at`` pair over these cached rows.
+        :math:`\\tau_i` under the resource's priority ceiling (the highest
+        base priority of its users).  Both depend only on task-static data,
+        so the kernel folds a whole resource assignment with one
+        ``np.add.at`` / ``np.maximum.at`` pair over these cached rows.
         """
         rows = self._fold_rows.get(resource_id)
         if rows is None:
-            idx, work, cs, user_prios = self.user_arrays(resource_id)
+            users = [
+                (j, usage[resource_id])
+                for j, usage in enumerate(self.usages)
+                if resource_id in usage and usage[resource_id][0] > 0
+            ]
             n = len(self.tasks)
             work_row = np.zeros(n)
-            work_row[idx] = work
             beta_row = np.zeros(n)
-            if idx.size:
-                ceiling = self.resource_ceiling(resource_id)
+            if users:
+                idx = np.array([j for j, _pair in users], dtype=np.intp)
+                work_row[idx] = [count * cs for _j, (count, cs) in users]
+                cs = np.array([cs for _j, (_count, cs) in users])
+                user_prios = self.prios[idx]
                 blocked = (user_prios[:, None] < self.prios[None, :]) & (
-                    self.prios[None, :] <= ceiling
+                    self.prios[None, :] <= user_prios.max()
                 )
                 np.max(
                     np.where(blocked, cs[:, None], 0.0), axis=0, out=beta_row
@@ -240,24 +199,6 @@ class CompiledTaskset:
             rows = (work_row, beta_row)
             self._fold_rows[resource_id] = rows
         return rows
-
-    def resource_ceiling(self, resource_id: int) -> int:
-        """Priority ceiling of a resource: max base priority of its users (cached).
-
-        Mirrors :meth:`repro.model.task.TaskSet.resource_ceiling`, computed
-        from the compiled user columns.
-        """
-        ceiling = self.ceilings.get(resource_id)
-        if ceiling is None:
-            col = self.users(resource_id)
-            if not col:
-                raise ResourceError(
-                    f"resource {resource_id} is not used by any task"
-                )
-            prios = self.prios_list
-            ceiling = max(prios[j] for j, _count, _cs in col)
-            self.ceilings[resource_id] = ceiling
-        return ceiling
 
 
 #: One compiled-tables instance per live task set; weak keys let the tables

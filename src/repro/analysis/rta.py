@@ -6,10 +6,9 @@ recurrence from a starting value until convergence, giving up when the
 iterate exceeds a divergence bound (which the analyses interpret as
 "unschedulable / no bound").
 
-Since PR 3 the solver itself lives in
-:mod:`repro.analysis.engine.solver` — one implementation shared with the
-compiled protocol kernels — and this module keeps the historical scalar API
-(plus :func:`ceil_div_jobs`) on top of it.
+The solver itself lives in :mod:`repro.analysis.engine.solver` — one
+implementation shared with the DPCP-p kernel — and this module keeps the
+scalar API (plus :func:`ceil_div_jobs`) on top of it.
 """
 
 from __future__ import annotations

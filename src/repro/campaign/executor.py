@@ -58,8 +58,6 @@ from ..model.platform import Platform
 from ..obs.events import (
     Event,
     PoolCrashed,
-    SimTruncated,
-    SolveStats,
     UnitFinished,
     UnitQuarantined,
     UnitRetried,
@@ -533,10 +531,8 @@ def _emit_unit_finished(events: Optional[EventSink], result: UnitResult) -> None
     """Emit the per-unit events of one finished unit (best-effort).
 
     Emits :class:`~repro.obs.events.UnitFinished` always, and — when the
-    unit ran with telemetry — the full
-    :class:`~repro.obs.events.UnitTelemetry` snapshot plus the derived
-    :class:`~repro.obs.events.SolveStats` /
-    :class:`~repro.obs.events.SimTruncated` digests.  Event I/O failures
+    unit ran with telemetry — its full
+    :class:`~repro.obs.events.UnitTelemetry` snapshot.  Event I/O failures
     are logged and swallowed: observability must never fail a campaign.
     """
     if events is None:
@@ -553,40 +549,9 @@ def _emit_unit_finished(events: Optional[EventSink], result: UnitResult) -> None
                 generation_failures=result.generation_failures,
             )
         )
-        if not result.telemetry:
-            return
-        events.emit(
-            UnitTelemetry(unit_id=result.unit_id, telemetry=result.telemetry)
-        )
-        counters = result.telemetry.get("counters", {})
-        events.emit(
-            SolveStats(
-                unit_id=result.unit_id,
-                scalar_calls=counters.get("solver.scalar.calls", 0),
-                batched_calls=counters.get("solver.batched.calls", 0),
-                converged=(
-                    counters.get("solver.scalar.converged", 0)
-                    + counters.get("solver.batched.converged", 0)
-                ),
-                diverged=(
-                    counters.get("solver.scalar.diverged", 0)
-                    + counters.get("solver.batched.diverged", 0)
-                ),
-                no_convergence=(
-                    counters.get("solver.scalar.no_convergence", 0)
-                    + counters.get("solver.batched.no_convergence", 0)
-                ),
-                iterations=counters.get("solver.scalar.iterations", 0),
-            )
-        )
-        if counters.get("sim.truncated"):
+        if result.telemetry:
             events.emit(
-                SimTruncated(
-                    unit_id=result.unit_id,
-                    truncated=counters.get("sim.truncated", 0),
-                    simulated=counters.get("sim.runs", 0),
-                    events=counters.get("sim.events", 0),
-                )
+                UnitTelemetry(unit_id=result.unit_id, telemetry=result.telemetry)
             )
     except OSError as error:
         get_logger("campaign.executor").warning(

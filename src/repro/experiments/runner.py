@@ -13,7 +13,6 @@ seed-derivation scheme — results are bit-identical either way).
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
@@ -91,19 +90,15 @@ def _resolve_protocols(
     return build_protocols(KNOWN_PROTOCOLS, config.max_path_signatures)
 
 
-def _adapt_progress(progress: Optional[ProgressCallback], resolve_scenario):
-    """Wrap a per-point :data:`ProgressCallback` as the executor's per-unit
-    callback (``None`` passes through)."""
+def _adapt_progress(progress: Optional[ProgressCallback], scenario: Scenario):
+    """Wrap a per-point :data:`ProgressCallback` of one scenario's sweep as
+    the executor's per-unit callback (``None`` passes through)."""
     if progress is None:
         return None
 
     def unit_progress(done, total, result):
         if result is not None:
-            progress(
-                resolve_scenario(result.scenario_id),
-                result.utilization,
-                dict(result.accepted),
-            )
+            progress(scenario, result.utilization, dict(result.accepted))
 
     return unit_progress
 
@@ -130,7 +125,7 @@ def run_sweep(
     tests = _resolve_protocols(protocols, config)
     units = plan_scenario_units(scenario, config)
 
-    unit_progress = _adapt_progress(progress, lambda scenario_id: scenario)
+    unit_progress = _adapt_progress(progress, scenario)
     results = execute_units(units, tests, workers=1, progress=unit_progress)
     return assemble_sweep(scenario, [t.name for t in tests], results)
 
@@ -140,63 +135,18 @@ def run_campaign(
     protocols: Optional[Sequence[SchedulabilityTest]] = None,
     config: Optional[SweepConfig] = None,
     progress: Optional[ProgressCallback] = None,
-    workers: int = 1,
 ) -> List[SweepResult]:
-    """Run a sweep for every scenario of a grid.
+    """Run a serial sweep for every scenario of a grid.
 
-    With ``workers > 1`` the campaign's work units are fanned out across a
-    process pool (requires a non-``None`` seed for reproducibility); results
-    are identical to the serial run either way.  For checkpointing/resume use
-    the campaign engine directly (``python -m repro.campaign``).
+    For parallel, checkpointed or resumable runs use the campaign engine
+    (:func:`repro.campaign.executor.execute_units` with ``workers=N``, or
+    ``python -m repro.campaign run --workers N``); results are identical.
     """
     config = config or SweepConfig()
-    scenarios = list(scenarios)
-    if not scenarios:
-        return []
-    if workers <= 1:
-        return [
-            run_sweep(scenario, protocols=protocols, config=config, progress=progress)
-            for scenario in scenarios
-        ]
-    if config.seed is None:
-        raise ValueError(
-            "run_campaign with workers > 1 requires a concrete SweepConfig.seed; "
-            "with seed=None every unit would draw fresh OS entropy and the "
-            "results could never be reproduced"
-        )
-
-    from ..campaign.executor import assemble_campaign, execute_units
-    from ..campaign.planner import plan_campaign
-
-    tests = _resolve_protocols(protocols, config)
-    # Duplicate scenarios are legal (and produce identical results) on the
-    # serial path; plan each distinct scenario once and fan the assembled
-    # sweeps back out so the workers knob never changes the outcome.
-    unique: List[Scenario] = []
-    seen = set()
-    for scenario in scenarios:
-        if scenario.scenario_id not in seen:
-            seen.add(scenario.scenario_id)
-            unique.append(scenario)
-    plan = plan_campaign(unique, config, [t.name for t in tests])
-    scenario_by_id = {s.scenario_id: s for s in plan.scenarios}
-    unit_progress = _adapt_progress(progress, scenario_by_id.__getitem__)
-    results = execute_units(plan.units, tests, workers=workers, progress=unit_progress)
-    sweep_by_id = {
-        sweep.scenario.scenario_id: sweep
-        for sweep in assemble_campaign(plan, results)
-    }
-    emitted: set = set()
-    output: List[SweepResult] = []
-    for scenario in scenarios:
-        sweep = sweep_by_id[scenario.scenario_id]
-        # Serial runs return independent result objects for duplicate
-        # scenarios; copy so mutating one entry never corrupts another.
-        if scenario.scenario_id in emitted:
-            sweep = copy.deepcopy(sweep)
-        emitted.add(scenario.scenario_id)
-        output.append(sweep)
-    return output
+    return [
+        run_sweep(scenario, protocols=protocols, config=config, progress=progress)
+        for scenario in scenarios
+    ]
 
 
 def pairwise_statistics(

@@ -31,8 +31,6 @@ from .events import (
     JobAdmitted,
     JobFinished,
     ServiceStarted,
-    SimTruncated,
-    SolveStats,
     UnitFinished,
     UnitStarted,
     UnitTelemetry,
@@ -40,7 +38,7 @@ from .events import (
 )
 from .log import LOG_LEVELS, configure_logging, get_logger
 from .sink import EVENTS_NAME, EventSink, events_path, iter_event_records, read_events
-from .telemetry import ScalarSolveStats, Telemetry, TimerStats, active, session
+from .telemetry import ScalarSolves, Telemetry, TimerStats, active, session
 
 __all__ = [
     "EVENT_TYPES",
@@ -52,10 +50,8 @@ __all__ = [
     "EventSink",
     "JobAdmitted",
     "JobFinished",
-    "ScalarSolveStats",
+    "ScalarSolves",
     "ServiceStarted",
-    "SimTruncated",
-    "SolveStats",
     "Telemetry",
     "TimerStats",
     "UnitFinished",

@@ -3,8 +3,7 @@
 Following the named-types idiom (one frozen class per message, a registry
 keyed by a stable type name), every observable campaign occurrence is its
 own dataclass: :class:`CampaignStarted`, :class:`UnitStarted`,
-:class:`UnitFinished`, :class:`UnitTelemetry`, :class:`SolveStats`,
-:class:`SimTruncated`, :class:`CampaignFinished`,
+:class:`UnitFinished`, :class:`UnitTelemetry`, :class:`CampaignFinished`,
 the fault-tolerance trio :class:`PoolCrashed`, :class:`UnitRetried`,
 :class:`UnitQuarantined`, and the service-daemon trio
 :class:`ServiceStarted`, :class:`JobAdmitted`, :class:`JobFinished`.
@@ -139,35 +138,6 @@ class UnitTelemetry(Event):
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "telemetry", dict(self.telemetry))
-
-
-@_register
-@dataclass(frozen=True)
-class SolveStats(Event):
-    """Fixed-point solver tallies of one finished work unit."""
-
-    TYPE = "solve_stats"
-
-    unit_id: str
-    scalar_calls: int = 0
-    batched_calls: int = 0
-    converged: int = 0
-    diverged: int = 0
-    no_convergence: int = 0
-    iterations: int = 0
-
-
-@_register
-@dataclass(frozen=True)
-class SimTruncated(Event):
-    """At least one simulation run of a work unit hit a budget and truncated."""
-
-    TYPE = "sim_truncated"
-
-    unit_id: str
-    truncated: int
-    simulated: int
-    events: int = 0
 
 
 @_register

@@ -12,8 +12,8 @@ The profile separates two kinds of evidence:
 
 * **Deterministic counters and histograms** (solver outcome tallies, cache
   hits/misses, simulator event counts) — integer sums, identical for a
-  fixed seed at any worker count.  These feed the byte-pinned report
-  section.
+  fixed seed at any worker count.  The ``profile`` command renders them;
+  the report bundle shows only the EP-fidelity line derived from them.
 * **Wall-clock timings** (per-phase and per-protocol spans, per-unit
   elapsed seconds) — machine- and load-dependent.  These stay in the
   ``profile`` CLI output only, never in byte-compared artefacts.
@@ -159,10 +159,6 @@ class ComputeProfile:
             for path in ("ep_batched", "ep_scalar", "en")
         }
         return {"bounds": bounds, "decided": sum(paths.values()), **paths}
-
-    def deterministic_counters(self) -> Dict[str, int]:
-        """The integer counters (fixed-seed deterministic at any worker count)."""
-        return dict(self.telemetry.counters)
 
     def to_dict(self) -> dict:
         """JSON-serialisable profile (``profile --json``)."""
@@ -317,7 +313,7 @@ def render_profile(profile: ComputeProfile, top: int = 10) -> str:
             f"{early['ep_scalar']} EP scalar, {early['en']} EN)"
         )
 
-    counters = profile.deterministic_counters()
+    counters = profile.telemetry.counters
     if counters:
         lines.append("")
         lines.append("counters")

@@ -103,24 +103,19 @@ def bucket_label(value: int) -> str:
     return f"{low}-{high}"
 
 
-def bucket_index(value: int) -> int:
-    """Array index of :func:`bucket_label`'s bucket, via ``int.bit_length``.
-
-    ``0`` → 0, ``1`` → 1, ``2`` → 2, ``3-4`` → 3, ``5-8`` → 4, ... — the
-    constant-time equivalent of the label loop, used by the hot-path
-    accumulators that bucket into a preallocated list instead of a dict.
-    """
-    return (value - 1).bit_length() + 1 if value > 0 else 0
-
-
 def bucket_label_from_index(index: int) -> str:
-    """The :func:`bucket_label` string for a :func:`bucket_index` slot."""
+    """The :func:`bucket_label` string of a bucket's array index.
+
+    ``0`` → ``"0"``, ``1`` → ``"1"``, ``2`` → ``"2"``, ``3`` → ``"3-4"``,
+    ``4`` → ``"5-8"``, ... — the slots the hot-path accumulators bucket
+    into, with ``(value - 1).bit_length() + 1`` as a value's index.
+    """
     if index <= 2:
         return str(max(index, 0))
     return f"{2 ** (index - 2) + 1}-{2 ** (index - 1)}"
 
 
-class ScalarSolveStats:
+class ScalarSolves:
     """Hot-path accumulator for the scalar fixed-point solver.
 
     The scalar solver runs O(100) times per schedulability test, so its
@@ -175,7 +170,7 @@ class ScalarSolveStats:
         if not self.raw:
             return
         converged = diverged = no_convergence = iterations = 0
-        buckets = [0] * 66  # one slot per bucket_index; covers 64-bit counts
+        buckets = [0] * 66  # one slot per bucket index; covers 64-bit counts
         for entry in self.raw:
             count = entry >> 2
             iterations += count
@@ -215,7 +210,7 @@ def bucket_sort_key(label: str) -> float:
 class Telemetry:
     """One mergeable bundle of counters, timers, and histograms.
 
-    ``scalar_solves`` is the :class:`ScalarSolveStats` fast-path slot the
+    ``scalar_solves`` is the :class:`ScalarSolves` fast-path slot the
     solver increments directly; it is folded into the generic
     counters/histograms transparently whenever the bundle is snapshotted,
     merged, or truth-tested, so consumers never see it as separate state.
@@ -227,7 +222,7 @@ class Telemetry:
         self.counters: Dict[str, int] = {}
         self.timers: Dict[str, TimerStats] = {}
         self.histograms: Dict[str, Dict[str, int]] = {}
-        self.scalar_solves = ScalarSolveStats()
+        self.scalar_solves = ScalarSolves()
 
     def __bool__(self) -> bool:
         """Whether anything has been recorded yet."""
@@ -331,7 +326,7 @@ _ACTIVE: Optional[Telemetry] = None
 
 #: The active bundle's ``scalar_solves.raw.append``, preloaded so the scalar
 #: solver's per-call cost is one module-attribute read plus one ``append``
-#: (:class:`ScalarSolveStats` folding restores the tallies lazily).  ``None``
+#: (:class:`ScalarSolves` folding restores the tallies lazily).  ``None``
 #: whenever no session is active; managed exclusively by :func:`session`.
 _SOLVE_APPEND = None
 
@@ -366,23 +361,3 @@ def session(telemetry: Optional[Telemetry] = None) -> Iterator[Telemetry]:
         _ACTIVE = previous
         _SOLVE_APPEND = previous_append
 
-
-def count(name: str, n: int = 1) -> None:
-    """Add ``n`` to counter ``name`` of the active session (no-op when off)."""
-    tel = _ACTIVE
-    if tel is not None:
-        tel.count(name, n)
-
-
-def observe(name: str, seconds: float) -> None:
-    """Fold a duration into timer ``name`` of the active session (no-op when off)."""
-    tel = _ACTIVE
-    if tel is not None:
-        tel.observe(name, seconds)
-
-
-def record(name: str, value: int) -> None:
-    """Count ``value`` into histogram ``name`` of the active session (no-op when off)."""
-    tel = _ACTIVE
-    if tel is not None:
-        tel.record(name, value)

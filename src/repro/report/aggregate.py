@@ -144,21 +144,18 @@ class StoreAggregate:
         totals = weighted_acceptance(curves)
         return {name: totals.get(name, math.nan) for name in self.protocols}
 
-    def compute_profile(self):
-        """The store's :class:`~repro.obs.profile.ComputeProfile`, or ``None``.
+    def ep_fidelity(self) -> Optional[Dict[str, float]]:
+        """The store's :meth:`~repro.obs.profile.ComputeProfile.ep_fidelity`.
 
-        ``None`` when the store recorded no events (telemetry disabled, or
-        a pre-observability store) — report renderers then omit the
-        "Compute profile" section.  Imported lazily: the profile module
-        depends on the campaign store and must not be pulled in by plain
-        aggregation.
+        ``None`` when no EP enumeration ran with telemetry (no DPCP-p-EP
+        test, telemetry disabled, or no ``events.jsonl``) — report
+        renderers then omit the "Compute profile" section.  Imported
+        lazily: the profile module depends on the campaign store and must
+        not be pulled in by plain aggregation.
         """
         from ..obs.profile import load_profile
 
-        profile = load_profile(self.store_directory)
-        if not profile.event_counts:
-            return None
-        return profile
+        return load_profile(self.store_directory).ep_fidelity()
 
     def pairwise(self) -> Optional[PairwiseStatistics]:
         """Dominance/outperformance over the complete scenarios.

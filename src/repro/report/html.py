@@ -199,43 +199,13 @@ def render_html_report(
         parts.append(_pairwise_table(stats, "dominance", "Dominance"))
         parts.append(_pairwise_table(stats, "outperformance", "Outperformance"))
 
-    # Compute profile (deterministic telemetry counters; see markdown.py
-    # for why wall-clock timings are excluded from report artefacts).
-    profile = aggregate.compute_profile()
-    if profile is not None and profile.telemetry:
+    # Compute profile: the EP-fidelity line only (see markdown.py).
+    fidelity = aggregate.ep_fidelity()
+    if fidelity is not None:
         parts.append("<h2>Compute profile</h2>")
         parts.append(
-            '<p class="note">Deterministic telemetry counters merged over '
-            f"{profile.units_with_telemetry} work-unit snapshots "
-            "(events.jsonl); wall-clock timings live in "
-            "<code>python -m repro.campaign profile</code>.</p>"
+            f"<p><b>EP fidelity.</b> {escape(ep_fidelity_line(fidelity))}.</p>"
         )
-        fidelity = profile.ep_fidelity()
-        if fidelity is not None:
-            parts.append(
-                f"<p><b>EP fidelity.</b> {escape(ep_fidelity_line(fidelity))}.</p>"
-            )
-        counters = profile.deterministic_counters()
-        if counters:
-            parts.append("<table><tr><th>Counter</th><th>Value</th></tr>")
-            for name in sorted(counters):
-                parts.append(
-                    f"<tr><td><code>{escape(name)}</code></td>"
-                    f'<td class="num">{counters[name]}</td></tr>'
-                )
-            parts.append("</table>")
-        histogram = profile.solver_histogram()
-        if histogram:
-            parts.append(
-                "<table><tr><th>Solver iterations</th>"
-                "<th>Fixed points</th></tr>"
-            )
-            for label, count in histogram:
-                parts.append(
-                    f"<tr><td>{escape(label)}</td>"
-                    f'<td class="num">{count}</td></tr>'
-                )
-            parts.append("</table>")
 
     # The curve grid.
     parts.append(f"<h2>Acceptance-ratio curves ({len(complete)} scenarios)</h2>")

@@ -187,52 +187,22 @@ def render_tightness_section(aggregate: StoreAggregate) -> List[str]:
 
 
 def render_profile_section(aggregate: StoreAggregate) -> List[str]:
-    """The compute-profile section of a report (Markdown).
+    """The compute-profile section of a report (Markdown): the EP-fidelity line.
 
-    Only the **deterministic** part of the telemetry appears here —
-    integer counters and the bucketed solver-iteration histogram, which a
-    fixed-seed campaign reproduces byte-for-byte at any worker count.
-    Wall-clock timings (machine-dependent) stay in ``python -m
-    repro.campaign profile``.  Empty when the store has no event stream
-    (telemetry disabled, or a pre-observability store).
+    Empty when no EP enumeration ran with telemetry (or the store has no
+    event stream).  Implementation counters, the solver histogram and
+    wall-clock timings render only in ``python -m repro.campaign profile``,
+    so an exact optimisation that changes a counter leaves REPORT.md alone.
     """
-    profile = aggregate.compute_profile()
-    parts: List[str] = []
-    if profile is None or not profile.telemetry:
-        return parts
-    parts.append("## Compute profile")
-    parts.append("")
-    parts.append(
-        f"Deterministic telemetry counters merged over "
-        f"{profile.units_with_telemetry} work-unit snapshots from the "
-        "out-of-band event stream (`events.jsonl`).  Wall-clock timings "
-        "are machine-dependent and deliberately omitted — see `python -m "
-        "repro.campaign profile`."
-    )
-    parts.append("")
-    fidelity = profile.ep_fidelity()
-    if fidelity is not None:
-        parts.append(f"**EP fidelity.** {ep_fidelity_line(fidelity)}.")
-        parts.append("")
-    counters = profile.deterministic_counters()
-    if counters:
-        parts.append(
-            _markdown_table(
-                ("Counter", "Value"),
-                [[f"`{name}`", str(counters[name])] for name in sorted(counters)],
-            )
-        )
-        parts.append("")
-    histogram = profile.solver_histogram()
-    if histogram:
-        parts.append(
-            _markdown_table(
-                ("Solver iterations", "Fixed points"),
-                [[label, str(count)] for label, count in histogram],
-            )
-        )
-        parts.append("")
-    return parts
+    fidelity = aggregate.ep_fidelity()
+    if fidelity is None:
+        return []
+    return [
+        "## Compute profile",
+        "",
+        f"**EP fidelity.** {ep_fidelity_line(fidelity)}.",
+        "",
+    ]
 
 
 def render_markdown_report(

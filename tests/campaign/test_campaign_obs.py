@@ -19,7 +19,6 @@ from repro.campaign.planner import FORMAT_VERSION
 from repro.obs.events import (
     CampaignFinished,
     CampaignStarted,
-    SolveStats,
     UnitFinished,
     UnitStarted,
     UnitTelemetry,
@@ -103,7 +102,11 @@ def test_event_stream_covers_the_campaign_lifecycle(tmp_path):
     assert len(by_type[UnitStarted]) == TOTAL_UNITS
     assert len(by_type[UnitFinished]) == TOTAL_UNITS
     assert len(by_type[UnitTelemetry]) == TOTAL_UNITS
-    assert len(by_type[SolveStats]) == TOTAL_UNITS
+    # Each observation is recorded once: the lifecycle events above and
+    # nothing that repeats the per-unit telemetry snapshot.
+    assert set(by_type) == {
+        CampaignStarted, UnitStarted, UnitFinished, UnitTelemetry, CampaignFinished
+    }
     assert {event.unit_id for event in by_type[UnitFinished]} == {
         event.unit_id for event in by_type[UnitStarted]
     }
@@ -184,6 +187,33 @@ def test_profile_json_round_trips_the_merged_telemetry(tmp_path, capsys):
     assert profile["event_counts"]["unit_telemetry"] == TOTAL_UNITS
     # Deterministic counters are pinned above; spot-check one here.
     assert profile["telemetry"]["counters"]["solver.scalar.calls"] == 17
+
+
+def test_profile_counters_do_not_depend_on_the_worker_count(tmp_path, capsys):
+    flags = [
+        "--grid", "fig2",
+        "--filter", "m=16",
+        "--samples", "2",
+        "--step", "0.5",
+        "--vertices", "5,8",
+        "--protocols", "DPCP-p-EP,DPCP-p-EN,SPIN",
+        "--seed", "2020",
+        "--quiet",
+    ]
+    telemetry = []
+    for workers in ("1", "2"):
+        store = str(tmp_path / f"workers{workers}")
+        assert cli.main(["run", "--store", store, *flags, "--workers", workers]) == 0
+        capsys.readouterr()
+        assert cli.main(["profile", "--store", store, "--json"]) == 0
+        profile = json.loads(capsys.readouterr().out)
+        assert "solve_stats" not in profile["event_counts"]
+        assert "sim_truncated" not in profile["event_counts"]
+        telemetry.append(profile["telemetry"])
+    serial, parallel = telemetry
+    assert serial["counters"]["kernel.bounds"] > 0
+    assert serial["counters"] == parallel["counters"]
+    assert serial["histograms"] == parallel["histograms"]
 
 
 def test_profile_of_a_telemetry_free_store_still_works(tmp_path, capsys):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis import DpcpPEnTest, FedFpTest, SpinTest
+from repro.campaign.executor import execute_units
 from repro.experiments.runner import (
     SweepConfig,
     pairwise_statistics,
@@ -189,13 +190,6 @@ def test_series_csv_roundtrip(tiny_sweep):
     assert len(csv_text.splitlines()) == 5  # header + 4 points
 
 
-def test_parallel_run_campaign_requires_a_concrete_seed():
-    scenario = full_grid()[0]
-    config = SweepConfig(samples_per_point=1, utilization_step_fraction=0.5, seed=None)
-    with pytest.raises(ValueError, match="seed"):
-        run_campaign([scenario], config=config, workers=2)
-
-
 def test_run_campaign_empty_selection_is_consistent_across_workers():
-    assert run_campaign([], workers=1) == []
-    assert run_campaign([], workers=4) == []
+    assert run_campaign([]) == []
+    assert execute_units([], [], workers=4) == []

@@ -12,8 +12,6 @@ from repro.obs.events import (
     JobFinished,
     PoolCrashed,
     ServiceStarted,
-    SimTruncated,
-    SolveStats,
     UnitFinished,
     UnitQuarantined,
     UnitRetried,
@@ -42,8 +40,6 @@ SAMPLES = [
         generation_failures=1,
     ),
     UnitTelemetry(unit_id="s1:p00", telemetry={"counters": {"x": 1}}),
-    SolveStats(unit_id="s1:p00", scalar_calls=5, converged=4, iterations=12),
-    SimTruncated(unit_id="s1:p00", truncated=1, simulated=3, events=150000),
     PoolCrashed(respawn=2, backoff_seconds=1.0, inflight_units=3),
     UnitRetried(unit_id="s1:p00", attempt=2, error_kind="ValueError"),
     UnitQuarantined(

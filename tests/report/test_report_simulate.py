@@ -118,16 +118,16 @@ def test_simulate_html_report_embeds_the_tightness_panel(simulate_store):
 
 def test_reports_show_ep_fidelity_from_the_profile(simulate_store, finished_store):
     aggregate = aggregate_store(simulate_store)
-    fidelity = aggregate.compute_profile().ep_fidelity()
+    fidelity = aggregate.ep_fidelity()
     line = ep_fidelity_line(fidelity)
     assert line.startswith("EP degraded to EN for ")
     assert f"({fidelity['truncated']} of {fidelity['enumerated']} enumerations" in line
     assert f"**EP fidelity.** {line}." in render_markdown_report(aggregate)
     assert f"<b>EP fidelity.</b> {escape(line)}." in render_html_report(aggregate)
-    # No EP analysis ran in the SPIN/FED-FP fixture: no fidelity row.
+    # No EP analysis ran in the SPIN/FED-FP fixture: no profile section.
     analyze = aggregate_store(finished_store)
-    assert "EP fidelity" not in render_markdown_report(analyze)
-    assert "EP fidelity" not in render_html_report(analyze)
+    assert "Compute profile" not in render_markdown_report(analyze)
+    assert "Compute profile" not in render_html_report(analyze)
 
 
 def test_tightness_panel_handles_empty_distributions():
