@@ -37,6 +37,7 @@ import time
 from typing import List, Optional, Sequence, Tuple
 
 from ..analysis.dpcp_p import DEFAULT_MAX_PATH_SIGNATURES
+from ..experiments.metrics import ValidationRollup
 from ..experiments.runner import SweepConfig
 from ..obs.events import CampaignFinished, CampaignStarted
 from ..obs.log import LOG_LEVELS, configure_logging, get_logger
@@ -687,21 +688,13 @@ def _cmd_report(args: argparse.Namespace) -> int:
         f"report.html in {out_dir}"
     )
     if aggregate.mode == MODE_SIMULATE:
-        totals = aggregate.validation_totals().values()
-        simulated = sum(rollup.simulated for rollup in totals)
-        violations = sum(rollup.violations for rollup in totals)
-        failures = sum(rollup.rule_failures for rollup in totals)
-        truncated = sum(rollup.truncated for rollup in totals)
-        maxima = [
-            rollup.ratio.maximum
-            for rollup in totals
-            if rollup.ratio.maximum is not None
-        ]
-        worst = f"{max(maxima):.3f}" if maxima else "n/a"
+        total = ValidationRollup.merged(aggregate.validation_totals().values())
+        worst = total.ratio.maximum
+        worst_text = "n/a" if worst is None else f"{worst:.3f}"
         print(
-            f"validation: {simulated} simulated runs, worst observed/bound "
-            f"{worst}, {violations} soundness violation(s), {failures} rule "
-            f"failure(s), {truncated} truncated"
+            f"validation: {total.simulated} simulated runs, worst observed/bound "
+            f"{worst_text}, {total.violations} soundness violation(s), "
+            f"{total.rule_failures} rule failure(s), {total.truncated} truncated"
         )
     if incomplete:
         print(

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence
 
 
 @dataclass
@@ -276,16 +276,28 @@ class ValidationRollup:
         self.events += other.events
         self.ratio.merge(other.ratio)
 
+    @classmethod
+    def merged(cls, rollups: Iterable["ValidationRollup"]) -> "ValidationRollup":
+        """A new rollup folding ``rollups`` in order (empty for none)."""
+        total = cls()
+        for rollup in rollups:
+            total.merge(rollup)
+        return total
+
     @property
-    def violations(self) -> int:
-        """Total soundness violations: invariants, misses, bound overflows."""
+    def invariant_violations(self) -> int:
+        """Runtime invariant violations: mutual exclusion, processor
+        overlaps and spin exclusivity."""
         return (
             self.mutual_exclusion_violations
             + self.processor_overlaps
             + self.spin_exclusivity_violations
-            + self.deadline_misses
-            + self.ratio.overflows
         )
+
+    @property
+    def violations(self) -> int:
+        """Total soundness violations: invariants, misses, bound overflows."""
+        return self.invariant_violations + self.deadline_misses + self.ratio.overflows
 
     def to_dict(self) -> dict:
         """JSON-serialisable form (stored in campaign unit records)."""

@@ -9,9 +9,13 @@ The pipeline is ``store → aggregate → render``:
 * :mod:`repro.report.series` assembles per-sweep acceptance rows — the one
   code path every renderer reads — and renders one sweep as CSV, a
   plain-text table, or an ASCII plot;
-* :mod:`repro.report.svg`, :mod:`repro.report.html`, and
-  :mod:`repro.report.markdown` render the Fig.-2 curve grid and the
-  Sec.-VII summary tables (Tables 2–3) with zero plotting dependencies;
+* :mod:`repro.report.document` decides the report's content once — which
+  sections appear, their titles, every table row and cell — in one walk
+  over the aggregate;
+* :mod:`repro.report.markdown` and :mod:`repro.report.html` supply only
+  the syntax for that content (``REPORT.md``, and ``report.html`` with the
+  inline-SVG Fig.-2 curve grid of :mod:`repro.report.svg`), with zero
+  plotting dependencies;
 * :mod:`repro.report.bundle` writes the whole deliverable set
   (``REPORT.md``, ``report.html``, per-scenario CSVs) into one directory.
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional
 
 from ..campaign.executor import UnitResult, assemble_sweep
@@ -64,7 +65,6 @@ class StoreAggregate:
     #: Totals folded over every stored unit (complete or not).
     generation_failures: int = 0
     evaluated_samples: int = 0
-    elapsed_seconds: float = 0.0
     #: Unresolved quarantine records by unit id (units that exhausted their
     #: execution attempts and have no successful checkpoint; see
     #: ``docs/robustness.md``).  Empty for fault-free stores.
@@ -148,11 +148,17 @@ class StoreAggregate:
         """The store's :meth:`~repro.obs.profile.ComputeProfile.ep_fidelity`.
 
         ``None`` when no EP enumeration ran with telemetry (no DPCP-p-EP
-        test, telemetry disabled, or no ``events.jsonl``) — report
-        renderers then omit the "Compute profile" section.  Imported
-        lazily: the profile module depends on the campaign store and must
-        not be pulled in by plain aggregation.
+        test, telemetry disabled, or no ``events.jsonl``) — reports then
+        omit the "Compute profile" section.  The profile is read on the
+        first call only, so the Markdown and HTML reports of one aggregate
+        parse the event stream once.
         """
+        return self._ep_fidelity
+
+    @cached_property
+    def _ep_fidelity(self) -> Optional[Dict[str, float]]:
+        # Imported lazily: the profile module depends on the campaign
+        # store and must not be pulled in by plain aggregation.
         from ..obs.profile import load_profile
 
         return load_profile(self.store_directory).ep_fidelity()
@@ -230,5 +236,4 @@ def aggregate_store(store_directory: str) -> StoreAggregate:
         for result in unit_results:
             aggregate.generation_failures += result.generation_failures
             aggregate.evaluated_samples += result.evaluated
-            aggregate.elapsed_seconds += result.elapsed_seconds
     return aggregate

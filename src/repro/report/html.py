@@ -1,22 +1,20 @@
 """Self-contained HTML report: the Fig.-2 curve grid plus summary tables.
 
-The page embeds its stylesheet and every chart (inline SVG from
-:mod:`repro.report.svg`) directly, so ``report.html`` is a single file with
-no scripts and no external assets — it renders offline, attaches to CI runs
-as one artifact, and never pulls a plotting dependency into the repo.
+HTML syntax for :func:`~repro.report.document.render_report`, so the page
+carries the same sections, titles and rows as ``REPORT.md``.  It embeds its
+stylesheet and every chart (inline SVG from :mod:`repro.report.svg`)
+directly, so ``report.html`` is a single file with no scripts and no
+external assets — it renders offline, attaches to CI runs as one artifact,
+and never pulls a plotting dependency into the repo.
 """
 
 from __future__ import annotations
 
-import math
 from html import escape
 from typing import List, Optional, Sequence
 
-from ..campaign.planner import MODE_SIMULATE
-from ..experiments.metrics import PairwiseStatistics, ValidationRollup
-from ..obs.profile import ep_fidelity_line
 from .aggregate import StoreAggregate
-from .series import resolve_protocols
+from .document import render_report
 from .svg import render_svg_chart, render_tightness_panel
 
 _STYLE = """\
@@ -33,95 +31,93 @@ td.num { text-align: right; font-variant-numeric: tabular-nums; }
 """
 
 
-def _ratio_cell(value: float) -> str:
-    """One ``<td>`` for an acceptance ratio (``n/a`` for NaN)."""
-    if value is None or (isinstance(value, float) and math.isnan(value)):
-        return '<td class="num">n/a</td>'
-    return f'<td class="num">{value:.3f}</td>'
+class _Markup(str):
+    """Text that is already HTML (an escaped span); never escaped again."""
 
 
-def _pairwise_table(stats: PairwiseStatistics, matrix: str, title: str) -> str:
-    """Render one dominance/outperformance matrix as an HTML table."""
-    data = getattr(stats, matrix)
-    protocols = stats.protocols
-    total = stats.scenario_count
-    rows = [f"<h2>{escape(title)} ({total} scenarios)</h2>", "<table>"]
-    rows.append(
-        "<tr><th></th>"
-        + "".join(f"<th>{escape(p)}</th>" for p in protocols)
-        + "</tr>"
-    )
-    for a in protocols:
-        cells = [f"<th>{escape(a)}</th>"]
-        for b in protocols:
-            if a == b:
-                cells.append("<td>N/A</td>")
-            else:
-                count = data[a][b]
-                percent = 100.0 * count / total if total else 0.0
-                cells.append(f'<td class="num">{count} ({percent:.1f}%)</td>')
-        rows.append("<tr>" + "".join(cells) + "</tr>")
-    rows.append("</table>")
-    return "\n".join(rows)
+def _html(text: str) -> str:
+    return text if isinstance(text, _Markup) else escape(text)
 
 
-def _tightness_section(aggregate: StoreAggregate) -> List[str]:
-    """The simulate-mode bound-tightness section (table + SVG panel)."""
-    totals = aggregate.validation_totals()
-    parts = ["<h2>Bound tightness (observed / analytical WCRT)</h2>"]
-    if not totals:
-        parts.append(
-            '<p class="note">No scenario has completed yet — no validation '
-            "evidence.</p>"
-        )
-        return parts
+def _spans(spans: Sequence[str]) -> str:
+    return "".join(_html(span) for span in spans)
 
-    def cells(rollup: ValidationRollup) -> str:
-        ratio = rollup.ratio
-        maximum = "n/a" if ratio.maximum is None else f"{ratio.maximum:.3f}"
-        return (
-            f'<td class="num">{rollup.simulated}</td>'
-            f'<td class="num">{ratio.count}</td>'
-            + _ratio_cell(ratio.mean)
-            + f'<td class="num">{maximum}</td>'
-            f'<td class="num">{rollup.deadline_misses}</td>'
-            f'<td class="num">'
-            f"{rollup.mutual_exclusion_violations + rollup.processor_overlaps + rollup.spin_exclusivity_violations}</td>"
-            f'<td class="num">{ratio.overflows}</td>'
-            f'<td class="num">{rollup.truncated}</td>'
-        )
 
-    parts.append("<table>")
-    parts.append(
-        "<tr><th>Scenario</th><th>Protocol</th><th>Simulated</th>"
-        "<th>Task ratios</th><th>Mean</th><th>Max</th><th>Misses</th>"
-        "<th>Invariant viol.</th><th>Bound viol.</th><th>Truncated</th></tr>"
-    )
-    for report in aggregate.complete_reports():
-        if not report.validation:
-            continue
-        for protocol in aggregate.protocols:
-            rollup = report.validation.get(protocol)
-            if rollup is None:
-                continue
-            parts.append(
-                f"<tr><td>{escape(report.scenario.scenario_id)}</td>"
-                f"<td>{escape(protocol)}</td>{cells(rollup)}</tr>"
+def _row(
+    cells: Sequence[str], labels: int = 0, numeric_from: Optional[int] = None
+) -> str:
+    """One ``<tr>``: ``labels`` leading ``<th>`` cells, numbers right-aligned."""
+    out = []
+    for index, cell in enumerate(cells):
+        if index < labels:
+            out.append(f"<th>{_html(cell)}</th>")
+        elif numeric_from is not None and index >= numeric_from:
+            out.append(f'<td class="num">{_html(cell)}</td>')
+        else:
+            out.append(f"<td>{_html(cell)}</td>")
+    return "<tr>" + "".join(out) + "</tr>"
+
+
+class _Html:
+    """HTML syntax for :func:`~repro.report.document.render_report`."""
+
+    def __init__(self, chart_width: int, chart_height: int) -> None:
+        self.chart_size = {"width": chart_width, "height": chart_height}
+
+    def code(self, text: str) -> str:
+        return _Markup(escape(text))  # identifiers show as plain text
+
+    def strong(self, text: str) -> str:
+        return _Markup(f"<b>{escape(text)}</b>")
+
+    def heading(self, title: str, level: int = 2) -> str:
+        return f"<h{level}>{escape(title)}</h{level}>"
+
+    def table(self, header, rows, numeric_from: Optional[int] = None) -> str:
+        """A table; a key/value table has no header row and ``<th>`` keys."""
+        lines = ["<table>"]
+        if header is not None:
+            lines.append(_row(header, labels=len(header)))
+        labels = 1 if header is None else 0
+        lines += [_row(row, labels, numeric_from) for row in rows]
+        return "\n".join(lines + ["</table>"])
+
+    def matrix(self, title: str, header, rows) -> str:
+        lines = [f"<h3>{escape(title)}</h3>", "<table>", _row(header, len(header))]
+        lines += [_row(row, labels=1, numeric_from=1) for row in rows]
+        return "\n".join(lines + ["</table>"])
+
+    def paragraph(self, *spans: str, note: bool = False) -> str:
+        opening = '<p class="note">' if note else "<p>"
+        return f"{opening}{_spans(spans)}</p>"
+
+    def bullets(self, items) -> str:
+        lines = [f"<li>{_spans(item)}</li>" for item in items]
+        return "\n".join(["<ul>", *lines, "</ul>"])
+
+    def charts(self, charts) -> str:
+        """The curve grid: one inline-SVG figure per scenario."""
+        lines = ['<div class="grid">']
+        for _scenario_id, sweep, protocols, caption in charts:
+            chart = render_svg_chart(sweep, protocols, **self.chart_size)
+            lines.append(
+                f"<figure>{chart}<figcaption>{escape(caption)}</figcaption></figure>"
             )
-    for protocol in aggregate.protocols:
-        if protocol in totals:
-            parts.append(
-                f"<tr><th>all</th><th>{escape(protocol)}</th>"
-                f"{cells(totals[protocol])}</tr>"
-            )
-    parts.append("</table>")
-    panel_stats = {
-        protocol: totals[protocol].ratio
-        for protocol in aggregate.protocols
-        if protocol in totals
-    }
-    parts.append(f"<figure>{render_tightness_panel(panel_stats)}</figure>")
-    return parts
+        return "\n".join(lines + ["</div>"])
+
+    def tightness_panel(self, stats) -> str:
+        return f"<figure>{render_tightness_panel(stats)}</figure>"
+
+    def document(self, title: str, blocks: List[str]) -> str:
+        return "\n".join([
+            "<!DOCTYPE html>",
+            '<html lang="en"><head><meta charset="utf-8">',
+            f"<title>{escape(title)}</title>",
+            f"<style>{_STYLE}</style>",
+            "</head><body>",
+            *blocks,
+            "</body></html>",
+        ])
 
 
 def render_html_report(
@@ -138,106 +134,4 @@ def render_html_report(
     for every complete scenario (the Fig.-2 grid, at whatever grid size the
     store holds).  ``protocols`` restricts and orders the reported curves.
     """
-    selected = list(protocols) if protocols is not None else aggregate.protocols
-    parts: List[str] = [
-        "<!DOCTYPE html>",
-        '<html lang="en"><head><meta charset="utf-8">',
-        "<title>Campaign report</title>",
-        f"<style>{_STYLE}</style>",
-        "</head><body>",
-        "<h1>Campaign report</h1>",
-    ]
-
-    # Summary.
-    manifest = aggregate.manifest
-    complete = aggregate.complete_reports()
-    parts.append("<table>")
-    summary_rows = [
-        ("Config hash", manifest.get("config_hash", "")[:16] + "…"),
-        ("Mode", aggregate.mode),
-        ("Protocols", ", ".join(aggregate.protocols)),
-        (
-            "Scenarios",
-            f"{len(complete)}/{len(aggregate.scenarios)} complete",
-        ),
-        (
-            "Work units",
-            f"{aggregate.completed_units}/{aggregate.total_units} stored",
-        ),
-        ("Evaluated task sets", f"{aggregate.evaluated_samples}"),
-        ("Failed task-set draws", f"{aggregate.generation_failures}"),
-        ("Analysis compute", f"{aggregate.elapsed_seconds:.1f}s"),
-    ]
-    for label, value in summary_rows:
-        parts.append(
-            f"<tr><th>{escape(label)}</th><td>{escape(str(value))}</td></tr>"
-        )
-    parts.append("</table>")
-    if not aggregate.complete:
-        parts.append(
-            '<p class="note">Campaign incomplete — incomplete scenarios are '
-            "omitted below; resume the campaign to fill them in.</p>"
-        )
-
-    # Weighted acceptance rollup.
-    weighted = aggregate.weighted_acceptance()
-    if weighted:
-        parts.append("<h2>Weighted acceptance (complete scenarios)</h2>")
-        parts.append("<table><tr>")
-        parts.extend(f"<th>{escape(p)}</th>" for p in selected)
-        parts.append("</tr><tr>")
-        parts.extend(_ratio_cell(weighted.get(p, math.nan)) for p in selected)
-        parts.append("</tr></table>")
-
-    # Bound tightness (simulate-mode validation campaigns).
-    if aggregate.mode == MODE_SIMULATE:
-        parts.extend(_tightness_section(aggregate))
-
-    # Pairwise dominance / outperformance (Tables 2 and 3).
-    stats = aggregate.pairwise()
-    if stats is not None:
-        parts.append(_pairwise_table(stats, "dominance", "Dominance"))
-        parts.append(_pairwise_table(stats, "outperformance", "Outperformance"))
-
-    # Compute profile: the EP-fidelity line only (see markdown.py).
-    fidelity = aggregate.ep_fidelity()
-    if fidelity is not None:
-        parts.append("<h2>Compute profile</h2>")
-        parts.append(
-            f"<p><b>EP fidelity.</b> {escape(ep_fidelity_line(fidelity))}.</p>"
-        )
-
-    # The curve grid.
-    parts.append(f"<h2>Acceptance-ratio curves ({len(complete)} scenarios)</h2>")
-    parts.append('<div class="grid">')
-    for report in complete:
-        chart_protocols = resolve_protocols(report.sweep, protocols)
-        chart = render_svg_chart(
-            report.sweep,
-            chart_protocols,
-            width=chart_width,
-            height=chart_height,
-        )
-        failures = (
-            report.sweep.curves[chart_protocols[0]].total_generation_failures
-            if chart_protocols
-            else 0
-        )
-        caption = f"{report.scenario.scenario_id} — {failures} failed draws"
-        parts.append(
-            f"<figure>{chart}<figcaption>{escape(caption)}</figcaption></figure>"
-        )
-    parts.append("</div>")
-
-    incomplete = aggregate.incomplete_reports()
-    if incomplete:
-        parts.append(f"<h2>Incomplete scenarios ({len(incomplete)})</h2><ul>")
-        for report in incomplete:
-            parts.append(
-                f"<li>{escape(report.scenario.scenario_id)}: "
-                f"{report.points_done}/{report.points_total} points</li>"
-            )
-        parts.append("</ul>")
-
-    parts.append("</body></html>")
-    return "\n".join(parts)
+    return render_report(aggregate, _Html(chart_width, chart_height), protocols)

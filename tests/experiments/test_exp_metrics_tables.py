@@ -228,3 +228,20 @@ def test_validation_rollup_merges_and_round_trips():
     assert first.simulated == 3 and first.truncated == 1
     assert first.violations == 2  # one ME violation + one ratio overflow
     assert ValidationRollup.from_dict(first.to_dict()).to_dict() == first.to_dict()
+
+
+def test_validation_rollup_invariant_violations_and_merged_fold():
+    first = ValidationRollup(simulated=2, mutual_exclusion_violations=1)
+    first.ratio.add(0.5)
+    second = ValidationRollup(
+        simulated=1, processor_overlaps=2, spin_exclusivity_violations=3,
+        deadline_misses=4,
+    )
+    second.ratio.add(1.5)
+    assert second.invariant_violations == 5  # overlaps + spin exclusivity
+    total = ValidationRollup.merged([first, second])
+    assert total.invariant_violations == 6
+    assert total.violations == 6 + 4 + 1  # invariants, misses, one overflow
+    assert total.simulated == 3 and total.ratio.maximum == 1.5
+    assert first.simulated == 2  # the inputs are left as they were
+    assert ValidationRollup.merged([]).to_dict() == ValidationRollup().to_dict()

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.campaign import cli
+from repro.campaign import cli, faultinject
+from repro.campaign.store import CampaignStore
 
 #: Flags of the deterministic reporting fixture campaign: the two m=16
 #: Fig. 2 scenarios on tiny DAGs, SPIN + FED-FP only — cheap, but with at
@@ -72,4 +73,31 @@ def simulate_store(tmp_path_factory) -> str:
     """
     store = str(tmp_path_factory.mktemp("simulate-fixture") / "store")
     assert cli.main(["run", "--store", store, *SIM_CAMPAIGN_FLAGS]) == 0
+    return store
+
+
+@pytest.fixture(scope="session")
+def faulted_store(tmp_path_factory, finished_store) -> str:
+    """The fixture campaign with two units quarantined (session-scoped, read-only).
+
+    A ``raise`` fault plan pins the first and last unit and ``--max-attempts
+    1`` quarantines them at once, so the store holds half of each scenario
+    and two quarantine records.
+    """
+    root = tmp_path_factory.mktemp("faulted-fixture")
+    unit_ids = list(CampaignStore(finished_store).load_records())
+    spec = faultinject.FaultSpec(
+        kind=faultinject.FAULT_RAISE, times=0, unit_ids=(unit_ids[0], unit_ids[-1])
+    )
+    plan = faultinject.write_plan(
+        faultinject.FaultPlan(faults=(spec,)), str(root / "plan.json")
+    )
+    store = str(root / "store")
+    with pytest.MonkeyPatch.context() as patch:
+        # `run --fault-plan` exports the plan into this process's
+        # environment; the context removes it again afterwards.
+        patch.setenv(faultinject.ENV_VAR, plan)
+        code = _run_campaign(store, "--fault-plan", plan, "--max-attempts", "1")
+    faultinject.clear_plan_cache()
+    assert code == 3
     return store
