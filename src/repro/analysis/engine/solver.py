@@ -25,7 +25,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from ...obs import telemetry as _obs_telemetry
+from ...obs.telemetry import _SESSION as _telemetry_session
 from ...obs.telemetry import active as _active_telemetry
 
 #: Default absolute convergence tolerance, in microseconds.
@@ -103,8 +103,8 @@ def solve_scalar(
 
     When a :mod:`repro.obs.telemetry` session is active, each call adds its
     outcome and iteration count to the ``solver.scalar.*`` counters and the
-    ``solver.iterations`` histogram; with no session the cost is one global
-    read per call.
+    ``solver.iterations`` histogram; with no session the cost is one
+    thread-local read per call.
     """
     value, status, iterations = _solve_scalar(
         recurrence, start, divergence_bound, tolerance, max_iterations
@@ -113,7 +113,7 @@ def solve_scalar(
     # must stay near the ≤2% overhead budget's noise floor: one read of the
     # session hook (the active bundle's preloaded ``list.append``) and one
     # GC-invisible encoded int, tallied lazily by ScalarSolves.fold_into.
-    append = _obs_telemetry._SOLVE_APPEND
+    append = _telemetry_session.solve_append
     if append is not None:
         if status is CONVERGED:
             append(iterations << 2)

@@ -11,7 +11,6 @@ architecture and EXPERIMENTS.md for the command-line workflow.
 from .executor import (
     RetryPolicy,
     UnitResult,
-    assemble_campaign,
     assemble_sweep,
     build_protocols,
     execute_unit,
@@ -41,7 +40,6 @@ from .store import CampaignStore, ConfigMismatchError, StoreError
 __all__ = [
     "RetryPolicy",
     "UnitResult",
-    "assemble_campaign",
     "assemble_sweep",
     "build_protocols",
     "execute_unit",

@@ -33,18 +33,16 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import time
 from typing import List, Optional, Sequence, Tuple
 
 from ..analysis.dpcp_p import DEFAULT_MAX_PATH_SIGNATURES
 from ..experiments.metrics import ValidationRollup
 from ..experiments.runner import SweepConfig
-from ..obs.events import CampaignFinished, CampaignStarted
 from ..obs.log import LOG_LEVELS, configure_logging, get_logger
-from ..obs.sink import EventSink, events_path, iter_event_records
+from ..obs.sink import events_path, iter_event_records
 from ..sim.validation import SimulationConfig
 from . import faultinject
-from .executor import RetryPolicy, build_protocols, execute_units, plan_runner
+from .executor import RetryPolicy, execute_campaign
 from .merge import merge_stores
 from .progress import ProgressPrinter
 from .planner import (
@@ -357,96 +355,56 @@ def _execute(
     plan: CampaignPlan,
     store: CampaignStore,
     args: argparse.Namespace,
-    manifest: Optional[dict] = None,
+    manifest: dict,
 ) -> int:
-    protocols = build_protocols(
-        plan.protocol_names, plan.config.max_path_signatures
-    )
-    # A sharded store executes only its deterministic slice of the grid;
-    # the shard spec lives in the manifest, so resume needs no flags.
-    shard = manifest_shard(manifest or {})
-    units = shard_units(plan.units, *shard) if shard else plan.units
-    if getattr(args, "fault_plan", None):
-        # Chaos testing: the environment crosses the process-pool boundary,
-        # so every worker sees the same plan (docs/robustness.md).
-        os.environ[faultinject.ENV_VAR] = args.fault_plan
-    retry = RetryPolicy(max_attempts=args.max_attempts)
     printer = None if args.quiet else ProgressPrinter()
-    telemetry = not getattr(args, "no_telemetry", False)
-    sink = EventSink(store.directory) if telemetry else None
-    started_at = time.monotonic()
-    if sink is not None:
-        try:
-            sink.emit(
-                CampaignStarted(
-                    config_hash=(manifest or {}).get("config_hash", ""),
-                    mode=plan.mode,
-                    total_units=len(units),
-                    workers=args.workers,
-                    protocols=tuple(plan.protocol_names),
-                )
-            )
-        except OSError as error:
-            # An unwritable store directory must not fail the campaign;
-            # results checkpointing will surface real storage problems.
-            get_logger("campaign.cli").warning(
-                "event stream unavailable (%s); continuing without telemetry",
-                error,
-            )
-            sink = None
+    previous_plan = os.environ.get(faultinject.ENV_VAR)
+    if args.fault_plan:
+        # Chaos testing: the environment crosses the process-pool boundary,
+        # so every worker sees the same plan (docs/robustness.md).  A later
+        # run in this process must not inherit it, hence the finally below.
+        os.environ[faultinject.ENV_VAR] = args.fault_plan
     try:
-        results = execute_units(
-            units,
-            protocols,
+        outcome = execute_campaign(
+            plan,
+            store,
+            manifest,
             workers=args.workers,
-            store=store,
             progress=printer,
+            retry=RetryPolicy(max_attempts=args.max_attempts),
             chunk_size=args.chunk_size,
             max_units=args.max_units,
-            runner=plan_runner(plan, telemetry=telemetry),
-            events=sink,
-            retry=retry,
             unit_deadline=args.unit_deadline,
+            telemetry=not args.no_telemetry,
         )
-        if sink is not None:
-            try:
-                sink.emit(
-                    CampaignFinished(
-                        completed=len(results),
-                        total=len(units),
-                        elapsed_seconds=round(time.monotonic() - started_at, 6),
-                    )
-                )
-            except OSError as error:
-                get_logger("campaign.cli").warning(
-                    "campaign-finished event emission failed (%s)", error
-                )
     finally:
         if printer is not None:
             printer.finish()
-        if sink is not None:
-            sink.close()
-    total = len(units)
-    failures = sum(result.generation_failures for result in results)
+        if args.fault_plan:
+            if previous_plan is None:
+                os.environ.pop(faultinject.ENV_VAR, None)
+            else:
+                os.environ[faultinject.ENV_VAR] = previous_plan
+            faultinject.clear_plan_cache()
+    shard = manifest_shard(manifest)
+    failures = sum(result.generation_failures for result in outcome.results)
     shard_label = f" (shard {shard[0]}/{shard[1]})" if shard else ""
     print(
-        f"{len(results)}/{total} units complete{shard_label} "
+        f"{len(outcome.results)}/{outcome.total} units complete{shard_label} "
         f"({failures} failed task-set draws) in store {store.directory}"
     )
-    unresolved = store.unresolved_quarantine()
-    if unresolved:
+    if outcome.unresolved:
         kinds = sorted({
-            str(record.get("error_kind")) for record in unresolved.values()
+            str(record.get("error_kind")) for record in outcome.unresolved.values()
         })
         print(
-            f"{len(unresolved)} unit(s) quarantined ({', '.join(kinds)}) — "
+            f"{len(outcome.unresolved)} unit(s) quarantined ({', '.join(kinds)}) — "
             f"see {store.quarantine_path}; resume retries them"
         )
-    if len(results) < total:
+    if len(outcome.results) < outcome.total:
         print("campaign incomplete — continue with: "
               f"python -m repro.campaign resume --store {store.directory}")
-        return 3
-    return 3 if unresolved else 0
+    return outcome.exit_code
 
 
 # --------------------------------------------------------------------------- #
@@ -495,7 +453,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         args.workers,
         f", shard {args.shard[0]}/{args.shard[1]}" if args.shard else "",
     )
-    return _execute(plan, store, args, manifest=manifest)
+    return _execute(plan, store, args, manifest)
 
 
 def _cmd_resume(args: argparse.Namespace) -> int:
@@ -511,7 +469,7 @@ def _cmd_resume(args: argparse.Namespace) -> int:
         len(units) - pending,
         len(units),
     )
-    return _execute(plan, store, args, manifest=manifest)
+    return _execute(plan, store, args, manifest)
 
 
 def _cmd_merge(args: argparse.Namespace) -> int:

@@ -11,6 +11,10 @@ interrupted run forfeits little finished-but-unreported compute).  With
 to plain in-process execution (no pool, no pickling) — the code path used by
 :func:`repro.experiments.runner.run_sweep`.
 
+:func:`execute_campaign` drives a campaign store: ``campaign run``/``resume``
+and the service's campaign jobs all call it, so the manifest's shard slice,
+the store's own ``events.jsonl`` and the 0/3 exit code are decided once.
+
 The fault model is *contain, retry, quarantine* (see ``docs/robustness.md``):
 
 * An exception inside one unit becomes a typed error
@@ -56,6 +60,8 @@ from ..generation.randfixedsum import GenerationError
 from ..generation.taskset_gen import generate_taskset
 from ..model.platform import Platform
 from ..obs.events import (
+    CampaignFinished,
+    CampaignStarted,
     Event,
     PoolCrashed,
     UnitFinished,
@@ -76,7 +82,14 @@ from ..sim.validation import (
 )
 from ..utils.rng import ensure_rng, spawn_rngs
 from . import faultinject
-from .planner import MODE_SIMULATE, PROTOCOL_FACTORIES, CampaignPlan, WorkUnit
+from .planner import (
+    MODE_SIMULATE,
+    PROTOCOL_FACTORIES,
+    CampaignPlan,
+    WorkUnit,
+    manifest_shard,
+    shard_units,
+)
 from .store import CampaignStore
 
 #: Unit outcomes: a unit either produced its acceptance counts (``ok``) or
@@ -299,8 +312,8 @@ def _evaluate_samples(
 
     With an active telemetry session the loop times its phases
     (``phase.generation``, ``phase.analysis``, ``phase.simulation``) and
-    each protocol's share (``protocol.<name>``); the guard is one global
-    read when telemetry is off, so the hot loop stays unperturbed.
+    each protocol's share (``protocol.<name>``); the guard is one
+    thread-local read when telemetry is off, so the hot loop stays unperturbed.
     """
     platform = Platform(unit.scenario.platform_size)
     generation_config = unit.scenario.generation_config()
@@ -865,6 +878,97 @@ def execute_units(
 
 
 # --------------------------------------------------------------------------- #
+# The campaign driver
+# --------------------------------------------------------------------------- #
+@dataclass(frozen=True)
+class CampaignOutcome:
+    """What :func:`execute_campaign` left in its store.
+
+    ``results`` are the successful results, in plan order, of the
+    ``total`` units in the store's slice; ``unresolved`` holds the
+    quarantine records no completed record heals; ``exit_code`` is 0 when
+    complete, 3 when units are missing or quarantined.
+    """
+
+    results: List[UnitResult]
+    total: int
+    unresolved: Dict[str, dict]
+    exit_code: int
+
+
+def execute_campaign(
+    plan: CampaignPlan,
+    store: CampaignStore,
+    manifest: dict,
+    *,
+    workers: int = 1,
+    progress: Optional[UnitProgress] = None,
+    retry: Optional[RetryPolicy] = None,
+    chunk_size: Optional[int] = None,
+    max_units: Optional[int] = None,
+    unit_deadline: Optional[float] = None,
+    telemetry: bool = True,
+) -> CampaignOutcome:
+    """Execute the manifest's slice of ``plan`` into its initialised store.
+
+    With ``telemetry`` each unit runs in its own telemetry session and the
+    store's ``events.jsonl`` receives ``campaign_started``, the unit and
+    recovery events, and ``campaign_finished``; an unwritable stream is a
+    logged warning, never a failed campaign.
+    """
+    shard = manifest_shard(manifest)
+    units = shard_units(plan.units, *shard) if shard else plan.units
+    protocols = build_protocols(plan.protocol_names, plan.config.max_path_signatures)
+    sink = EventSink(store.directory) if telemetry else None
+    started_at = time.monotonic()
+    if sink is not None:
+        try:
+            sink.emit(
+                CampaignStarted(
+                    config_hash=manifest.get("config_hash", ""),
+                    mode=plan.mode,
+                    total_units=len(units),
+                    workers=workers,
+                    protocols=tuple(plan.protocol_names),
+                )
+            )
+        except OSError as error:
+            get_logger("campaign.executor").warning(
+                "event stream unavailable (%s); continuing without telemetry",
+                error,
+            )
+            sink = None
+    try:
+        results = execute_units(
+            units,
+            protocols,
+            workers=workers,
+            store=store,
+            progress=progress,
+            chunk_size=chunk_size,
+            max_units=max_units,
+            runner=plan_runner(plan, telemetry=telemetry),
+            events=sink,
+            retry=retry,
+            unit_deadline=unit_deadline,
+        )
+        _emit(
+            sink,
+            CampaignFinished(
+                completed=len(results),
+                total=len(units),
+                elapsed_seconds=round(time.monotonic() - started_at, 6),
+            ),
+        )
+    finally:
+        if sink is not None:
+            sink.close()
+    unresolved = store.unresolved_quarantine()
+    complete = len(results) == len(units) and not unresolved
+    return CampaignOutcome(results, len(units), unresolved, 0 if complete else 3)
+
+
+# --------------------------------------------------------------------------- #
 # Curve assembly
 # --------------------------------------------------------------------------- #
 def assemble_sweep(scenario, protocol_names, results):
@@ -888,41 +992,3 @@ def assemble_sweep(scenario, protocol_names, results):
                 generation_failures=result.generation_failures,
             )
     return sweep
-
-
-def assemble_campaign(
-    plan: CampaignPlan,
-    results: Sequence[UnitResult],
-    *,
-    allow_partial: bool = False,
-):
-    """Group unit results by scenario into one sweep result per scenario.
-
-    With ``allow_partial=False`` every planned unit must be present; with
-    ``allow_partial=True`` scenarios with missing points are skipped (the
-    curves of a partial scenario would silently cover fewer points, which is
-    worse than omitting it).
-    """
-    by_scenario: Dict[str, List[UnitResult]] = {}
-    for result in results:
-        by_scenario.setdefault(result.scenario_id, []).append(result)
-
-    expected: Dict[str, int] = {}
-    for unit in plan.units:
-        scenario_id = unit.scenario.scenario_id
-        expected[scenario_id] = expected.get(scenario_id, 0) + 1
-
-    sweeps = []
-    for scenario in plan.scenarios:
-        scenario_id = scenario.scenario_id
-        have = by_scenario.get(scenario_id, [])
-        if len(have) < expected.get(scenario_id, 0):
-            if allow_partial:
-                continue
-            raise ValueError(
-                f"scenario {scenario_id} is incomplete "
-                f"({len(have)}/{expected[scenario_id]} units); resume the "
-                "campaign or pass allow_partial=True"
-            )
-        sweeps.append(assemble_sweep(scenario, plan.protocol_names, have))
-    return sweeps

@@ -14,24 +14,25 @@ Instrumented library code never takes a ``Telemetry`` parameter.  It reads
 the module-level *active session* instead::
 
     tel = telemetry.active()
-    if tel is not None:          # one global load + identity check when off
+    if tel is not None:          # one thread-local read + identity check when off
         tel.count("solver.scalar.converged")
 
 With no session active (the default) the cost of an instrumentation point
-is a single global read and an ``is not None`` check — which is what keeps
-the kernel hot paths within the ≤2 % overhead budget (measured in
+is a single thread-local read and an ``is not None`` check — which is what
+keeps the kernel hot paths within the ≤2 % overhead budget (measured in
 ``BENCH_PR6.json``) and lets telemetry stay strictly out-of-band: nothing
 here ever touches ``results.jsonl`` bytes, config hashes, or the store
 format version.
 
-Sessions are process-local plain globals (campaign workers are separate
-processes, each enabling its own session); no thread synchronisation is
-attempted.
+Sessions are per thread (campaign workers are separate processes, each
+enabling its own session; the service daemon's job threads each see only
+their own), so no thread synchronisation is needed.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -322,42 +323,44 @@ class Telemetry:
 # --------------------------------------------------------------------------- #
 # The active session
 # --------------------------------------------------------------------------- #
-_ACTIVE: Optional[Telemetry] = None
+class _Session(threading.local):
+    """The calling thread's active bundle (``None`` outside a session) and
+    its ``scalar_solves.raw.append``, preloaded so the scalar solver's
+    per-call cost is one read plus one ``append``.  Managed only by
+    :func:`session`."""
 
-#: The active bundle's ``scalar_solves.raw.append``, preloaded so the scalar
-#: solver's per-call cost is one module-attribute read plus one ``append``
-#: (:class:`ScalarSolves` folding restores the tallies lazily).  ``None``
-#: whenever no session is active; managed exclusively by :func:`session`.
-_SOLVE_APPEND = None
+    active: Optional[Telemetry] = None
+    solve_append = None
+
+
+_SESSION = _Session()
 
 
 def active() -> Optional[Telemetry]:
-    """The currently active :class:`Telemetry`, or ``None`` when disabled.
+    """The calling thread's active :class:`Telemetry`, or ``None`` when disabled.
 
     Instrumentation points call this once, keep the local, and skip all
-    recording when it is ``None`` — the disabled fast path costs one global
-    read.
+    recording when it is ``None`` — the disabled fast path costs one
+    thread-local read.
     """
-    return _ACTIVE
+    return _SESSION.active
 
 
 @contextmanager
 def session(telemetry: Optional[Telemetry] = None) -> Iterator[Telemetry]:
     """Activate ``telemetry`` (or a fresh bundle) for the ``with`` block.
 
-    Sessions nest: the previous active bundle is restored on exit, so a
-    work unit can aggregate into its own bundle while an outer benchmark
-    session keeps collecting afterwards.
+    The session belongs to the calling thread.  Sessions nest: the previous
+    active bundle is restored on exit, so a work unit can aggregate into its
+    own bundle while an outer benchmark session keeps collecting afterwards.
     """
-    global _ACTIVE, _SOLVE_APPEND
     bundle = telemetry if telemetry is not None else Telemetry()
-    previous = _ACTIVE
-    previous_append = _SOLVE_APPEND
-    _ACTIVE = bundle
-    _SOLVE_APPEND = bundle.scalar_solves.raw.append
+    previous = _SESSION.active
+    previous_append = _SESSION.solve_append
+    _SESSION.active = bundle
+    _SESSION.solve_append = bundle.scalar_solves.raw.append
     try:
         yield bundle
     finally:
-        _ACTIVE = previous
-        _SOLVE_APPEND = previous_append
-
+        _SESSION.active = previous
+        _SESSION.solve_append = previous_append

@@ -19,19 +19,21 @@ Two job kinds exist:
 * **Campaigns** (:class:`~repro.service.messages.SubmitCampaign`) — a full
   planned campaign backed by a durable :class:`~repro.campaign.store.
   CampaignStore` under ``<data_dir>/jobs/<config-hash-prefix>`` and
-  executed by the existing fault-tolerant executor (retry, quarantine,
-  pool-crash recovery — ``workers > 1`` runs a real process pool inside
-  the job).  The store directory is *derived from the campaign's config
+  executed by :func:`repro.campaign.executor.execute_campaign`, the
+  driver of ``campaign run`` (retry, quarantine, pool-crash recovery —
+  ``workers > 1`` runs a real process pool inside the job), so the job
+  store, its own ``events.jsonl`` included, is the store ``campaign run``
+  writes.  The store directory is *derived from the campaign's config
   hash*, so resubmitting an identical campaign resumes its store:
   completed units are restored instead of re-executed and previously
   quarantined units get fresh attempts — healing is a resubmission, not a
   special verb.
 
-Everything the manager observes goes through one lock-guarded
+Everything the manager itself observes goes through one lock-guarded
 :class:`~repro.obs.telemetry.Telemetry` bundle (``service.*`` counters:
 submissions, coalesce hits, cache hits, queue depth — admitted queries not
-yet started — and execution times) and the
-service's ``events.jsonl`` (:class:`~repro.obs.events.JobAdmitted` /
+yet started — and execution times) and the service's ``events.jsonl``
+(:class:`~repro.obs.events.JobAdmitted` /
 :class:`~repro.obs.events.JobFinished`), strictly out-of-band as always.
 """
 
@@ -49,9 +51,8 @@ from ..campaign.executor import (
     RetryPolicy,
     UnitResult,
     build_protocols,
+    execute_campaign,
     execute_unit,
-    execute_units,
-    plan_runner,
 )
 from ..campaign.planner import (
     FORMAT_VERSION,
@@ -258,29 +259,6 @@ class JobManager:
                 event.TYPE,
                 error,
             )
-
-    class _LockedSink:
-        """Thread-safe ``emit`` facade over one shared event sink.
-
-        Campaign jobs run concurrently on pool threads but the executor's
-        event emission assumes a single writer; this facade serialises all
-        writers onto the service's one ``events.jsonl``.
-        """
-
-        def __init__(self, sink: Any, lock: threading.Lock) -> None:
-            self._sink = sink
-            self._lock = lock
-
-        def emit(self, event: Event) -> int:
-            """Emit one event under the shared service sink lock."""
-            with self._lock:
-                return self._sink.emit(event)
-
-    def _locked_sink(self) -> Optional["JobManager._LockedSink"]:
-        """The shared sink wrapped for concurrent emitters (or ``None``)."""
-        if self._events is None:
-            return None
-        return self._LockedSink(self._events, self._events_lock)
 
     # ------------------------------------------------------------------ #
     # Submission
@@ -498,10 +476,6 @@ class JobManager:
         try:
             store = CampaignStore(job.store_directory)
             store.initialize(manifest)
-            protocols = build_protocols(
-                plan.protocol_names, plan.config.max_path_signatures
-            )
-            runner = plan_runner(plan)
             with self._lock:
                 job.state = STATE_RUNNING
                 job.tracker = ProgressTracker(total=len(plan.units))
@@ -523,41 +497,38 @@ class JobManager:
                 for listener in listeners:
                     self._deliver(listener, event, job=job)
 
-            completed = execute_units(
-                plan.units,
-                protocols,
+            outcome = execute_campaign(
+                plan,
+                store,
+                manifest,
                 workers=max(1, int(message.workers)),
-                store=store,
                 progress=progress,
-                runner=runner,
-                events=self._locked_sink(),
                 retry=RetryPolicy(
                     max_attempts=max(1, int(message.max_attempts)),
                     backoff_base=0.0,
                 ),
             )
-            unresolved = store.unresolved_quarantine()
             payload = {
                 "kind": KIND_CAMPAIGN,
                 "config_hash": manifest["config_hash"],
                 "store_directory": job.store_directory,
-                "completed": len(completed),
-                "total": len(plan.units),
-                "quarantined": sorted(unresolved),
+                "completed": len(outcome.results),
+                "total": outcome.total,
+                "quarantined": sorted(outcome.unresolved),
             }
-            if len(completed) == len(plan.units) and not unresolved:
+            if outcome.exit_code == 0:
                 self._finish(job, payload, exit_code=0, cache=False)
             else:
-                first = next(iter(sorted(unresolved)), "")
-                record = unresolved.get(first, {})
+                first = min(outcome.unresolved, default="")
+                record = outcome.unresolved.get(first, {})
                 self._fail(
                     job,
                     "unit_quarantined",
-                    f"{len(unresolved)} unit(s) quarantined "
+                    f"{len(outcome.unresolved)} unit(s) quarantined "
                     f"(e.g. {first}: {record.get('error_kind', 'unknown')})",
                     exit_code=3,
                     result=payload,
-                    quarantined=len(unresolved),
+                    quarantined=len(outcome.unresolved),
                 )
         except Exception as error:  # noqa: BLE001 - containment boundary
             self._log.warning("campaign job %s failed: %s", job.job_id, error)

@@ -6,8 +6,9 @@ import os
 
 import pytest
 
-from repro.campaign import cli
+from repro.campaign import cli, faultinject
 from repro.campaign.executor import build_protocols
+from repro.campaign.store import CampaignStore
 from repro.experiments.runner import SweepConfig, run_sweep
 from repro.experiments.scenarios import figure2_scenarios
 from repro.report.aggregate import aggregate_store
@@ -33,6 +34,28 @@ def run_cli(*argv):
 def results_lines(store):
     with open(os.path.join(store, "results.jsonl"), "rb") as handle:
         return handle.readlines()
+
+
+def test_fault_plan_is_scoped_to_its_own_run(tmp_path):
+    """`run --fault-plan` leaves no plan behind in the calling process: a
+    later plain run in the same process executes fault-free."""
+    spec = faultinject.FaultSpec(kind=faultinject.FAULT_RAISE, times=0)
+    plan = faultinject.write_plan(
+        faultinject.FaultPlan(faults=(spec,)), str(tmp_path / "plan.json")
+    )
+    before = os.environ.get(faultinject.ENV_VAR)
+    faulted = str(tmp_path / "faulted")
+    assert run_cli(
+        "run", "--store", faulted, *RUN_FLAGS,
+        "--fault-plan", plan, "--max-attempts", "1",
+    ) == 3
+    assert len(CampaignStore(faulted).unresolved_quarantine()) == TOTAL_UNITS
+
+    clean = str(tmp_path / "clean")
+    assert run_cli("run", "--store", clean, *RUN_FLAGS) == 0
+    assert not CampaignStore(clean).unresolved_quarantine()
+    assert len(results_lines(clean)) == TOTAL_UNITS
+    assert os.environ.get(faultinject.ENV_VAR) == before
 
 
 def test_run_interrupt_resume_leaves_finished_units_untouched(tmp_path, capsys):

@@ -7,7 +7,7 @@ import pytest
 from repro.analysis import DpcpPEnTest, FedFpTest, SpinTest
 from repro.campaign.executor import (
     UnitResult,
-    assemble_campaign,
+    assemble_sweep,
     build_protocols,
     execute_units,
 )
@@ -58,7 +58,7 @@ def test_workers1_matches_serial_run_sweep(scenarios, config):
     serial = run_sweep(scenarios[0], protocols=protocols(), config=config)
     plan = plan_campaign([scenarios[0]], config, [t.name for t in protocols()])
     results = execute_units(plan.units, protocols(), workers=1)
-    [assembled] = assemble_campaign(plan, results)
+    assembled = assemble_sweep(scenarios[0], plan.protocol_names, results)
     assert curves_of(assembled) == curves_of(serial)
 
 
@@ -74,9 +74,15 @@ def test_workers4_is_bit_identical_to_workers1(scenarios, config):
         return record
 
     assert [payload(r) for r in serial] == [payload(r) for r in parallel]
-    sweeps_serial = assemble_campaign(plan, serial)
-    sweeps_parallel = assemble_campaign(plan, parallel)
-    for a, b in zip(sweeps_serial, sweeps_parallel):
+    for scenario in scenarios:
+        a, b = (
+            assemble_sweep(
+                scenario,
+                names,
+                [r for r in results if r.scenario_id == scenario.scenario_id],
+            )
+            for results in (serial, parallel)
+        )
         assert curves_of(a) == curves_of(b)
 
 
@@ -103,17 +109,6 @@ def test_store_checkpoints_and_skips_finished_units(scenarios, config, tmp_path)
     assert progressed[0] is None
     assert len([r for r in progressed if r is not None]) == len(plan.units) - 3
     assert len(store.completed_ids()) == len(plan.units)
-
-
-def test_assemble_campaign_rejects_or_skips_partial(scenarios, config):
-    plan = plan_campaign(scenarios, config, ["SPIN"])
-    tests = build_protocols(["SPIN"])
-    # Complete one scenario only (4 of 8 units).
-    results = execute_units(plan.units[:4], tests)
-    with pytest.raises(ValueError):
-        assemble_campaign(plan, results)
-    sweeps = assemble_campaign(plan, results, allow_partial=True)
-    assert [s.scenario for s in sweeps] == [scenarios[0]]
 
 
 def test_unit_result_record_roundtrip():

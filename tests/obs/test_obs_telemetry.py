@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -101,15 +103,42 @@ def test_sessions_nest_and_restore_the_previous_bundle():
     assert inner.counters == {"inner": 1}
 
 
+def test_sessions_are_per_thread():
+    # Two threads' sessions overlap without either seeing or restoring the
+    # other's bundle (the service daemon runs jobs on threads side by side).
+    entered, release = threading.Barrier(2), threading.Event()
+    seen = {}
+
+    def other():
+        seen["before"] = telemetry.active()
+        with telemetry.session() as inner:
+            entered.wait()
+            release.wait()
+            seen["inside"] = telemetry.active() is inner
+        seen["after"] = telemetry.active()
+
+    thread = threading.Thread(target=other, daemon=True)
+    try:
+        with telemetry.session() as outer:
+            thread.start()
+            entered.wait(timeout=10)
+            assert telemetry.active() is outer
+        assert telemetry.active() is None
+    finally:
+        release.set()
+        thread.join(timeout=10)
+    assert seen == {"before": None, "inside": True, "after": None}
+
+
 def test_module_guards_are_no_ops_without_a_session():
     # Instrumented code records only through ``active()``, which is None
     # outside a session; a session that records nothing stays empty.
     assert telemetry.active() is None
-    assert telemetry._SOLVE_APPEND is None
+    assert telemetry._SESSION.solve_append is None
     with telemetry.session() as bundle:
         pass
     assert not bundle
-    assert telemetry._SOLVE_APPEND is None
+    assert telemetry._SESSION.solve_append is None
 
 
 # --------------------------------------------------------------------------- #

@@ -93,11 +93,5 @@ def faulted_store(tmp_path_factory, finished_store) -> str:
         faultinject.FaultPlan(faults=(spec,)), str(root / "plan.json")
     )
     store = str(root / "store")
-    with pytest.MonkeyPatch.context() as patch:
-        # `run --fault-plan` exports the plan into this process's
-        # environment; the context removes it again afterwards.
-        patch.setenv(faultinject.ENV_VAR, plan)
-        code = _run_campaign(store, "--fault-plan", plan, "--max-attempts", "1")
-    faultinject.clear_plan_cache()
-    assert code == 3
+    assert _run_campaign(store, "--fault-plan", plan, "--max-attempts", "1") == 3
     return store

@@ -96,11 +96,14 @@ def test_worker_kill_quarantines_unit_and_fails_job_with_typed_error(
     assert set(quarantine) == {victim}
     assert quarantine[victim]["error_kind"] == "worker_crash"
 
-    # The daemon's event stream saw the whole story.
-    events = _event_types(daemon.data_dir)
+    # The job store's event stream saw the recovery, as for `campaign run`;
+    # the service stream keeps only the job lifecycle.
+    events = _event_types(ready.result["store_directory"])
     assert "pool_crashed" in events
     assert "unit_quarantined" in events
-    assert "job_finished" in events
+    service_events = _event_types(daemon.data_dir)
+    assert "job_finished" in service_events
+    assert "pool_crashed" not in service_events
 
 
 def test_resubmitted_identical_job_heals_from_the_durable_store(
@@ -182,6 +185,7 @@ def test_transient_raise_fault_is_retried_to_success(
     # One transient failure, then success: the job completes cleanly.
     assert ready.exit_code == 0
     assert ready.result["quarantined"] == []
-    assert "unit_retried" in _event_types(daemon.data_dir)
+    assert "unit_retried" in _event_types(ready.result["store_directory"])
+    assert "unit_retried" not in _event_types(daemon.data_dir)
     store = CampaignStore(ready.result["store_directory"])
     assert not store.unresolved_quarantine()
