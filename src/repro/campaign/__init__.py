@@ -35,7 +35,7 @@ from .planner import (
     select_scenarios,
     shard_units,
 )
-from .store import CampaignStore, ConfigMismatchError, StoreError
+from .store import CampaignStore, ConfigMismatchError, StoreError, StoreView
 
 __all__ = [
     "RetryPolicy",
@@ -67,4 +67,5 @@ __all__ = [
     "CampaignStore",
     "ConfigMismatchError",
     "StoreError",
+    "StoreView",
 ]

@@ -31,6 +31,8 @@ for a walk-through.
 from __future__ import annotations
 
 import argparse
+import collections
+import json
 import os
 import sys
 from typing import List, Optional, Sequence, Tuple
@@ -39,7 +41,6 @@ from ..analysis.dpcp_p import DEFAULT_MAX_PATH_SIGNATURES
 from ..experiments.metrics import ValidationRollup
 from ..experiments.runner import SweepConfig
 from ..obs.log import LOG_LEVELS, configure_logging, get_logger
-from ..obs.sink import events_path, iter_event_records
 from ..sim.validation import SimulationConfig
 from . import faultinject
 from .executor import RetryPolicy, execute_campaign
@@ -51,16 +52,12 @@ from .planner import (
     MODE_ANALYZE,
     MODE_SIMULATE,
     SIMULATABLE_PROTOCOLS,
-    CampaignPlan,
     campaign_manifest,
     grid_scenarios,
-    manifest_shard,
     plan_campaign,
-    plan_from_manifest,
     select_scenarios,
-    shard_units,
 )
-from .store import CampaignStore, StoreError
+from .store import CampaignStore, StoreError, StoreView
 
 
 def _parse_vertices(text: str) -> Tuple[int, int]:
@@ -351,12 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _execute(
-    plan: CampaignPlan,
-    store: CampaignStore,
-    args: argparse.Namespace,
-    manifest: dict,
-) -> int:
+def _execute(view: StoreView, args: argparse.Namespace) -> int:
     printer = None if args.quiet else ProgressPrinter()
     previous_plan = os.environ.get(faultinject.ENV_VAR)
     if args.fault_plan:
@@ -366,9 +358,7 @@ def _execute(
         os.environ[faultinject.ENV_VAR] = args.fault_plan
     try:
         outcome = execute_campaign(
-            plan,
-            store,
-            manifest,
+            view,
             workers=args.workers,
             progress=printer,
             retry=RetryPolicy(max_attempts=args.max_attempts),
@@ -386,7 +376,7 @@ def _execute(
             else:
                 os.environ[faultinject.ENV_VAR] = previous_plan
             faultinject.clear_plan_cache()
-    shard = manifest_shard(manifest)
+    store, shard = view.store, view.shard
     failures = sum(result.generation_failures for result in outcome.results)
     shard_label = f" (shard {shard[0]}/{shard[1]})" if shard else ""
     print(
@@ -453,23 +443,18 @@ def _cmd_run(args: argparse.Namespace) -> int:
         args.workers,
         f", shard {args.shard[0]}/{args.shard[1]}" if args.shard else "",
     )
-    return _execute(plan, store, args, manifest)
+    return _execute(StoreView(store, manifest, plan), args)
 
 
 def _cmd_resume(args: argparse.Namespace) -> int:
-    store = CampaignStore(args.store)
-    manifest = store.read_manifest()
-    plan = plan_from_manifest(manifest)
-    shard = manifest_shard(manifest)
-    units = shard_units(plan.units, *shard) if shard else plan.units
-    pending = len(store.pending_ids([unit.unit_id for unit in units]))
+    view = StoreView.open(args.store)
     get_logger("campaign.cli").info(
         "resuming campaign in %s: %d/%d units already complete",
         args.store,
-        len(units) - pending,
-        len(units),
+        view.done,
+        len(view.units),
     )
-    return _execute(plan, store, args, manifest)
+    return _execute(view, args)
 
 
 def _cmd_merge(args: argparse.Namespace) -> int:
@@ -501,17 +486,11 @@ def _cmd_merge(args: argparse.Namespace) -> int:
 
 
 def _cmd_status(args: argparse.Namespace) -> int:
-    store = CampaignStore(args.store)
-    manifest = store.read_manifest()
-    plan = plan_from_manifest(manifest)
-    shard = manifest_shard(manifest)
-    units = shard_units(plan.units, *shard) if shard else plan.units
-    unit_ids = [unit.unit_id for unit in units]
-    records = store.load_records()
-    done = sum(1 for unit_id in unit_ids if unit_id in records)
-    total = len(units)
-    failures = sum(record.get("generation_failures", 0) for record in records.values())
-    elapsed = sum(record.get("elapsed_seconds", 0.0) for record in records.values())
+    from ..obs.profile import scan_events
+
+    view = StoreView.open(args.store)
+    store, manifest, plan, shard = view.store, view.manifest, view.plan, view.shard
+    records, done, total = view.records.values(), view.done, len(view.units)
     print(f"store:          {store.directory}")
     print(f"config hash:    {manifest['config_hash'][:16]}…")
     print(f"mode:           {manifest['mode']}")
@@ -522,19 +501,18 @@ def _cmd_status(args: argparse.Namespace) -> int:
     print(f"scenarios:      {len(plan.scenarios)}")
     print(f"units:          {done}/{total} complete "
           f"({100.0 * done / total if total else 100.0:.1f}%)")
-    print(f"failed draws:   {failures}")
-    unresolved = store.unresolved_quarantine()
-    if unresolved:
-        kinds: dict = {}
-        for record in unresolved.values():
-            kind = str(record.get("error_kind"))
-            kinds[kind] = kinds.get(kind, 0) + 1
+    print(f"failed draws:   {sum(r.get('generation_failures', 0) for r in records)}")
+    if view.unresolved:
+        kinds = collections.Counter(
+            str(record.get("error_kind")) for record in view.unresolved.values()
+        )
         breakdown = ", ".join(
             f"{count}× {kind}" for kind, count in sorted(kinds.items())
         )
-        print(f"quarantined:    {len(unresolved)} unit(s) ({breakdown}) — "
+        print(f"quarantined:    {len(view.unresolved)} unit(s) ({breakdown}) — "
               "resume retries them")
     if done:
+        elapsed = sum(record.get("elapsed_seconds", 0.0) for record in records)
         mean = elapsed / done
         print(f"unit time:      {mean:.2f}s mean, {elapsed:.1f}s total compute")
         if done < total:
@@ -550,57 +528,32 @@ def _cmd_status(args: argparse.Namespace) -> int:
                     f"parallel ETA:   {serial / workers:.1f}s "
                     f"at {workers} workers (manifest)"
                 )
-    events_file = events_path(store.directory)
-    event_count = 0
-    unit_events = 0
-    recovery = {"pool_crashed": 0, "unit_retried": 0, "unit_quarantined": 0}
-    last_seq = None
-    for record, _ in iter_event_records(events_file):
-        event_count += 1
-        event_type = record.get("type")
-        if event_type == "unit_finished":
-            unit_events += 1
-        if event_type in recovery:
-            recovery[event_type] += 1
-        seq = record.get("seq")
-        if isinstance(seq, int):
-            last_seq = seq if last_seq is None else max(last_seq, seq)
-    if event_count:
+    events = scan_events(store.directory)
+    counts = collections.Counter(events.event_counts)
+    if counts:
         print(
-            f"events:         {event_count} in events.jsonl "
-            f"({unit_events} unit completions, last seq "
-            f"{last_seq if last_seq is not None else 'n/a'})"
+            f"events:         {sum(counts.values())} in events.jsonl "
+            f"({counts['unit_finished']} unit completions, last seq "
+            f"{events.last_seq if events.last_seq is not None else 'n/a'})"
         )
-        if any(recovery.values()):
-            print(
-                f"recovery:       {recovery['pool_crashed']} pool crash(es), "
-                f"{recovery['unit_retried']} unit retry(ies), "
-                f"{recovery['unit_quarantined']} quarantine(s)"
-            )
+        recovery = [counts[kind] for kind in (
+            "pool_crashed", "unit_retried", "unit_quarantined")]
+        if any(recovery):
+            print("recovery:       {} pool crash(es), {} unit retry(ies), "
+                  "{} quarantine(s)".format(*recovery))
         print(f"profile:        python -m repro.campaign profile "
               f"--store {store.directory}")
-    incomplete = []
-    for scenario in plan.scenarios:
-        scenario_units = [
-            unit.unit_id
-            for unit in units
-            if unit.scenario.scenario_id == scenario.scenario_id
-        ]
-        missing = sum(1 for unit_id in scenario_units if unit_id not in records)
-        if missing:
-            incomplete.append((scenario.scenario_id, missing, len(scenario_units)))
+    incomplete = [row for row in view.scenario_progress if row[1] < row[2]]
     if incomplete:
         print(f"incomplete scenarios ({len(incomplete)}):")
-        for scenario_id, missing, count in incomplete[:10]:
-            print(f"  {scenario_id}: {count - missing}/{count}")
+        for scenario_id, scenario_done, count in incomplete[:10]:
+            print(f"  {scenario_id}: {scenario_done}/{count}")
         if len(incomplete) > 10:
             print(f"  … and {len(incomplete) - 10} more")
     return 0
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
-    import json
-
     from ..obs.profile import load_profile, render_profile
 
     if args.top < 1:
@@ -614,8 +567,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    import os
-
     from ..report.aggregate import aggregate_store
     from ..report.bundle import write_report_bundle
 

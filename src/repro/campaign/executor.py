@@ -87,10 +87,8 @@ from .planner import (
     PROTOCOL_FACTORIES,
     CampaignPlan,
     WorkUnit,
-    manifest_shard,
-    shard_units,
 )
-from .store import CampaignStore
+from .store import CampaignStore, StoreView, unresolved_quarantine
 
 #: Unit outcomes: a unit either produced its acceptance counts (``ok``) or
 #: failed with a typed error (``error`` — quarantined, never checkpointed
@@ -580,6 +578,7 @@ def execute_units(
     *,
     workers: int = 1,
     store: Optional[CampaignStore] = None,
+    records: Optional[Dict[str, dict]] = None,
     progress: Optional[UnitProgress] = None,
     chunk_size: Optional[int] = None,
     max_units: Optional[int] = None,
@@ -590,16 +589,16 @@ def execute_units(
 ) -> List[UnitResult]:
     """Execute ``units``, returning their *successful* results in input order.
 
-    When a ``store`` is given, units that are already checkpointed are
-    restored instead of re-executed, and every newly completed unit is
-    appended to the store immediately (resume safety).  ``max_units`` caps
-    the number of *newly executed* units — useful for smoke tests and for
-    demonstrating interrupted runs.  ``runner`` selects how one unit is
-    executed (analysis only, or analysis + validation simulation); it must
-    be pickleable for ``workers > 1``.  An optional ``events`` sink
-    receives :class:`~repro.obs.events.UnitStarted` on dispatch and the
-    per-unit finish events (out-of-band; emission failures never fail the
-    run, and restored units emit nothing).
+    When a ``store`` is given, its checkpointed units (``records``, if the
+    caller already read them) are restored instead of re-executed, and every
+    newly completed unit is appended to it at once (resume safety).
+    ``max_units`` caps the number of *newly executed* units — useful for
+    smoke tests and for demonstrating interrupted runs.  ``runner`` selects
+    how one unit is executed (analysis only, or analysis + validation
+    simulation); it must be pickleable for ``workers > 1``.  An optional
+    ``events`` sink receives :class:`~repro.obs.events.UnitStarted` on
+    dispatch and the per-unit finish events (out-of-band; emission failures
+    never fail the run, and restored units emit nothing).
 
     Failures are contained, retried per ``retry`` (default
     :class:`RetryPolicy`), and finally quarantined: the error record goes
@@ -620,7 +619,7 @@ def execute_units(
     total = len(units)
     completed: Dict[str, UnitResult] = {}
     if store is not None:
-        records = store.load_records()
+        records = store.load_records() if records is None else records
         for unit in units:
             record = records.get(unit.unit_id)
             if record is not None:
@@ -897,9 +896,7 @@ class CampaignOutcome:
 
 
 def execute_campaign(
-    plan: CampaignPlan,
-    store: CampaignStore,
-    manifest: dict,
+    view: StoreView,
     *,
     workers: int = 1,
     progress: Optional[UnitProgress] = None,
@@ -909,15 +906,14 @@ def execute_campaign(
     unit_deadline: Optional[float] = None,
     telemetry: bool = True,
 ) -> CampaignOutcome:
-    """Execute the manifest's slice of ``plan`` into its initialised store.
+    """Execute the slice of an initialised store's ``view`` into the store.
 
     With ``telemetry`` each unit runs in its own telemetry session and the
     store's ``events.jsonl`` receives ``campaign_started``, the unit and
     recovery events, and ``campaign_finished``; an unwritable stream is a
     logged warning, never a failed campaign.
     """
-    shard = manifest_shard(manifest)
-    units = shard_units(plan.units, *shard) if shard else plan.units
+    plan, store, units = view.plan, view.store, view.units
     protocols = build_protocols(plan.protocol_names, plan.config.max_path_signatures)
     sink = EventSink(store.directory) if telemetry else None
     started_at = time.monotonic()
@@ -925,7 +921,7 @@ def execute_campaign(
         try:
             sink.emit(
                 CampaignStarted(
-                    config_hash=manifest.get("config_hash", ""),
+                    config_hash=view.manifest.get("config_hash", ""),
                     mode=plan.mode,
                     total_units=len(units),
                     workers=workers,
@@ -944,6 +940,7 @@ def execute_campaign(
             protocols,
             workers=workers,
             store=store,
+            records=view.records,
             progress=progress,
             chunk_size=chunk_size,
             max_units=max_units,
@@ -963,7 +960,8 @@ def execute_campaign(
     finally:
         if sink is not None:
             sink.close()
-    unresolved = store.unresolved_quarantine()
+    completed = set(view.records).union(result.unit_id for result in results)
+    unresolved = unresolved_quarantine(store.load_quarantine(), completed)
     complete = len(results) == len(units) and not unresolved
     return CampaignOutcome(results, len(units), unresolved, 0 if complete else 3)
 

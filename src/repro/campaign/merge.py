@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from typing import Dict, Sequence, Tuple
 
 from .planner import plan_from_manifest
-from .store import CampaignStore, StoreError
+from .store import CampaignStore, StoreError, unresolved_quarantine
 
 #: Record fields stamped by the writing host rather than computed by the
 #: unit — legitimately different between two executions of the same unit,
@@ -172,19 +172,12 @@ def merge_stores(sources: Sequence[str], destination: str) -> MergeReport:
     # (in argument order); a unit completed anywhere is healed.
     quarantine: Dict[str, dict] = dict(dest_store.load_quarantine())
     already = set(quarantine)
-    healed = 0
     for store in source_stores:
-        for unit_id, record in store.load_quarantine().items():
-            quarantine[unit_id] = record
-    for unit_id in sorted(quarantine):
-        if unit_id in merged:
-            healed += 1
-            continue
+        quarantine.update(store.load_quarantine())
+    unresolved = unresolved_quarantine(quarantine, merged)
+    for unit_id in sorted(unresolved):
         if unit_id not in already:
-            dest_store.append_quarantine(quarantine[unit_id])
-    unresolved = sum(
-        1 for unit_id in quarantine if unit_id not in merged
-    )
+            dest_store.append_quarantine(unresolved[unit_id])
 
     return MergeReport(
         destination=destination,
@@ -193,6 +186,6 @@ def merge_stores(sources: Sequence[str], destination: str) -> MergeReport:
         total_units=len(plan.unit_ids),
         duplicates=duplicates,
         written=written,
-        quarantined=unresolved,
-        healed=healed,
+        quarantined=len(unresolved),
+        healed=len(quarantine) - len(unresolved),
     )

@@ -16,17 +16,29 @@ initialisation removes.  Re-opening a store with a different configuration
 hash raises :class:`ConfigMismatchError` so results from mismatched
 campaigns are never mixed; re-opening a *shard* store under a different
 shard spec is refused the same way (each shard owns its own directory, and
-``campaign merge`` is the one path that combines them).
+``campaign merge`` is the one path that combines them).  Commands read a
+store through :class:`StoreView`, which parses each JSONL file at most once.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from dataclasses import dataclass
 from datetime import datetime, timezone
-from typing import Dict, Iterable, Iterator, Optional, Set
+from functools import cached_property
+from typing import Container, Dict, Iterator, List, Optional, Tuple
 
-from .planner import MODE_ANALYZE, config_hash, manifest_format_version
+from .planner import (
+    MODE_ANALYZE,
+    CampaignPlan,
+    WorkUnit,
+    config_hash,
+    manifest_format_version,
+    manifest_shard,
+    plan_from_manifest,
+    shard_units,
+)
 
 
 class StoreError(RuntimeError):
@@ -265,35 +277,83 @@ class CampaignStore:
         supersedes an earlier one — the opposite of :meth:`load_records`,
         where the first checkpoint is immutable truth).  Torn trailing
         lines and malformed complete lines are tolerated exactly like the
-        results file.  Callers deciding whether a unit is still *failed*
-        should additionally drop ids present in :meth:`load_records`: a
-        unit that completed on a retry or another shard is healed, and its
-        stale quarantine record is merely history.
+        results file.  Whether a unit is still *failed* is
+        :func:`unresolved_quarantine`'s call.
         """
         records: Dict[str, dict] = {}
         for record in self.iter_records(path=self.quarantine_path):
             records[record["unit_id"]] = record
         return records
 
-    def unresolved_quarantine(self) -> Dict[str, dict]:
-        """Quarantine records of units with no successful checkpoint."""
-        completed = self.completed_ids()
-        return {
-            unit_id: record
-            for unit_id, record in self.load_quarantine().items()
-            if unit_id not in completed
-        }
-
-    def completed_ids(self) -> Set[str]:
-        """Identifiers of the units already checkpointed in this store."""
-        return set(self.load_records())
-
-    def pending_ids(self, unit_ids: Iterable[str]) -> Set[str]:
-        """Subset of ``unit_ids`` that has no checkpoint yet."""
-        return set(unit_ids) - self.completed_ids()
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"CampaignStore({self.directory!r})"
+
+
+def unresolved_quarantine(
+    quarantine: Dict[str, dict], completed: Container[str]
+) -> Dict[str, dict]:
+    """The ``quarantine`` records of units not in ``completed`` (the rest healed)."""
+    return {
+        unit_id: record
+        for unit_id, record in quarantine.items()
+        if unit_id not in completed
+    }
+
+
+@dataclass(frozen=True)
+class StoreView:
+    """One read of a campaign store, shared by every command that reads it.
+
+    ``results.jsonl`` is parsed on first use of :attr:`records`, and
+    ``quarantine.jsonl`` on first use of :attr:`unresolved`; neither again.
+    """
+
+    store: CampaignStore
+    manifest: dict
+    plan: CampaignPlan
+
+    @classmethod
+    def open(cls, directory: str) -> "StoreView":
+        """Read the manifest in ``directory`` and rebuild its plan."""
+        store = CampaignStore(directory)
+        manifest = store.read_manifest()
+        return cls(store, manifest, plan_from_manifest(manifest))
+
+    @property
+    def shard(self) -> Optional[Tuple[int, int]]:
+        """The manifest's ``(index, count)`` shard spec, or ``None``."""
+        return manifest_shard(self.manifest)
+
+    @cached_property
+    def units(self) -> List[WorkUnit]:
+        """The store's slice of the plan: its shard, or every unit."""
+        shard = self.shard
+        return shard_units(self.plan.units, *shard) if shard else self.plan.units
+
+    @cached_property
+    def records(self) -> Dict[str, dict]:
+        """:meth:`CampaignStore.load_records` of the store."""
+        return self.store.load_records()
+
+    @cached_property
+    def unresolved(self) -> Dict[str, dict]:
+        """Quarantine records of units with no record in :attr:`records`."""
+        return unresolved_quarantine(self.store.load_quarantine(), self.records)
+
+    @cached_property
+    def scenario_progress(self) -> List[Tuple[str, int, int]]:
+        """``(scenario_id, done, units)`` per scenario of the slice, plan order."""
+        counts: Dict[str, List[int]] = {}
+        for unit in self.units:
+            slot = counts.setdefault(unit.scenario.scenario_id, [0, 0])
+            slot[0] += unit.unit_id in self.records
+            slot[1] += 1
+        return [(scenario_id, *slot) for scenario_id, slot in counts.items()]
+
+    @property
+    def done(self) -> int:
+        """Units of the slice that have a record."""
+        return sum(done for _, done, _ in self.scenario_progress)
 
 
 def _utcnow_iso() -> str:

@@ -22,9 +22,10 @@ The profile separates two kinds of evidence:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
-from ..campaign.store import CampaignStore
+from ..campaign.store import StoreView
 from .events import UnitTelemetry, event_from_record
 from .sink import events_path, iter_event_records
 from .telemetry import Telemetry, bucket_sort_key
@@ -60,18 +61,27 @@ class ComputeProfile:
     """Everything the ``profile`` command and report section render.
 
     ``telemetry`` is the associative merge of every unit's
-    :class:`~repro.obs.events.UnitTelemetry` snapshot, folded in sorted
-    unit-id order; ``units`` covers every checkpointed unit whether or not
-    it ran with telemetry.
+    :class:`~repro.obs.events.UnitTelemetry` snapshot; ``units`` covers every
+    checkpointed unit whether or not it ran with telemetry (:func:`scan_events`
+    leaves it empty).
     """
 
     store_directory: str
     units: List[UnitProfile] = field(default_factory=list)
-    telemetry: Telemetry = field(default_factory=Telemetry)
+    #: The last telemetry snapshot of each unit that has one in events.jsonl.
+    snapshots: Dict[str, dict] = field(default_factory=dict)
     #: events.jsonl record count per event type (empty without the file).
     event_counts: Dict[str, int] = field(default_factory=dict)
-    #: Units whose telemetry snapshot was found in events.jsonl.
-    units_with_telemetry: int = 0
+    #: Highest event ``seq`` in events.jsonl (``None`` without one).
+    last_seq: Optional[int] = None
+
+    @cached_property
+    def telemetry(self) -> Telemetry:
+        """The merge of :attr:`snapshots` in sorted unit-id order, on first read."""
+        merged = Telemetry()
+        for unit_id in sorted(self.snapshots):
+            merged.merge(Telemetry.from_dict(self.snapshots[unit_id]))
+        return merged
 
     # ------------------------------------------------------------------ #
     # Derived views
@@ -165,7 +175,7 @@ class ComputeProfile:
         return {
             "store_directory": self.store_directory,
             "units": [unit.to_dict() for unit in self.units],
-            "units_with_telemetry": self.units_with_telemetry,
+            "units_with_telemetry": len(self.snapshots),
             "event_counts": {
                 k: self.event_counts[k] for k in sorted(self.event_counts)
             },
@@ -182,20 +192,39 @@ def ep_fidelity_line(fidelity: Dict[str, float]) -> str:
     )
 
 
-def load_profile(store_directory: str) -> ComputeProfile:
-    """Build the :class:`ComputeProfile` of one campaign store.
+def scan_events(store_directory: str) -> ComputeProfile:
+    """The profile of one scan of a store's ``events.jsonl``, without unit rows.
 
-    ``results.jsonl`` supplies the per-unit rows (torn-line tolerant,
-    first record wins per unit, exactly like resume); ``events.jsonl`` —
-    when present — supplies the telemetry snapshots, merged in sorted
-    unit-id order so the result is independent of completion order.
-    A store without events (telemetry disabled, or a pre-observability
-    store) still profiles: wall-clock and scenario tables come from the
-    results alone and the telemetry sections are empty.
+    Snapshots merge only when :attr:`ComputeProfile.telemetry` is read, so
+    ``campaign status``, which needs only the tallies, never pays for it.
+    Without the file (telemetry disabled, or a pre-observability store) the
+    profile is empty.
     """
-    store = CampaignStore(store_directory)
-    profile = ComputeProfile(store_directory=store.directory)
-    for record in store.load_records().values():
+    profile = ComputeProfile(store_directory=store_directory)
+    for record, _ in iter_event_records(events_path(store_directory)):
+        kind = str(record.get("type"))
+        profile.event_counts[kind] = profile.event_counts.get(kind, 0) + 1
+        seq, last = record.get("seq"), profile.last_seq
+        if isinstance(seq, int) and (last is None or seq > last):
+            profile.last_seq = seq
+        if kind != UnitTelemetry.TYPE:
+            continue
+        try:
+            event = event_from_record(record)
+        except TypeError:
+            continue
+        if isinstance(event, UnitTelemetry):
+            # Last snapshot wins per unit: an interrupted run's re-executed
+            # unit supersedes the torn original.
+            profile.snapshots[event.unit_id] = event.telemetry
+    return profile
+
+
+def load_profile(store_directory: str) -> ComputeProfile:
+    """:func:`scan_events` plus one unit row per record of the store."""
+    view = StoreView.open(store_directory)
+    profile = scan_events(view.store.directory)
+    for record in view.records.values():
         profile.units.append(
             UnitProfile(
                 unit_id=str(record.get("unit_id", "")),
@@ -208,24 +237,6 @@ def load_profile(store_directory: str) -> ComputeProfile:
             )
         )
     profile.units.sort(key=lambda unit: unit.unit_id)
-
-    snapshots: Dict[str, Telemetry] = {}
-    for record, _ in iter_event_records(events_path(store.directory)):
-        kind = str(record.get("type"))
-        profile.event_counts[kind] = profile.event_counts.get(kind, 0) + 1
-        if kind != UnitTelemetry.TYPE:
-            continue
-        try:
-            event = event_from_record(record)
-        except TypeError:
-            continue
-        if isinstance(event, UnitTelemetry):
-            # Last snapshot wins per unit: an interrupted run's re-executed
-            # unit supersedes the torn original.
-            snapshots[event.unit_id] = Telemetry.from_dict(event.telemetry)
-    for unit_id in sorted(snapshots):
-        profile.telemetry.merge(snapshots[unit_id])
-    profile.units_with_telemetry = len(snapshots)
     return profile
 
 
@@ -240,7 +251,7 @@ def render_profile(profile: ComputeProfile, top: int = 10) -> str:
     lines.append(f"compute profile of {profile.store_directory}")
     lines.append(
         f"units: {len(profile.units)} checkpointed, "
-        f"{profile.units_with_telemetry} with telemetry, "
+        f"{len(profile.snapshots)} with telemetry, "
         f"{total_elapsed:.3f}s total unit compute"
     )
 

@@ -1,8 +1,9 @@
 """Store aggregation: fold unit records into curves and rollups.
 
 The aggregator is the single path from an on-disk campaign store to every
-reporting artefact.  It reads ``results.jsonl`` once (never re-running any
-analysis), groups the work-unit records by scenario, and derives from them
+reporting artefact.  It reads ``results.jsonl`` once, through the store's
+:class:`~repro.campaign.store.StoreView` (never re-running any analysis),
+groups the work-unit records by scenario, and derives from them
 the per-scenario :class:`~repro.experiments.runner.SweepResult` curves plus
 the cross-scenario rollups of the paper's Sec. VII: weighted acceptance,
 pairwise dominance/outperformance, and generation-failure accounting.
@@ -15,18 +16,14 @@ cache sits in front of it.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Dict, List, Optional
 
 from ..campaign.executor import UnitResult, assemble_sweep
-from ..campaign.planner import (
-    MODE_ANALYZE,
-    MODE_SIMULATE,
-    CampaignPlan,
-    plan_from_manifest,
-)
-from ..campaign.store import CampaignStore
+from ..campaign.planner import MODE_ANALYZE, MODE_SIMULATE, CampaignPlan
+from ..campaign.store import StoreView
 from ..experiments.metrics import (
     PairwiseStatistics,
     ValidationRollup,
@@ -149,19 +146,19 @@ class StoreAggregate:
 
         ``None`` when no EP enumeration ran with telemetry (no DPCP-p-EP
         test, telemetry disabled, or no ``events.jsonl``) — reports then
-        omit the "Compute profile" section.  The profile is read on the
-        first call only, so the Markdown and HTML reports of one aggregate
-        parse the event stream once.
+        omit the "Compute profile" section.  ``events.jsonl`` is scanned on
+        the first call only, so the Markdown and HTML reports of one
+        aggregate parse the event stream once and ``results.jsonl`` never.
         """
         return self._ep_fidelity
 
     @cached_property
     def _ep_fidelity(self) -> Optional[Dict[str, float]]:
-        # Imported lazily: the profile module depends on the campaign
-        # store and must not be pulled in by plain aggregation.
-        from ..obs.profile import load_profile
+        # Imported lazily: the profile module must not be pulled in by
+        # plain aggregation.
+        from ..obs.profile import scan_events
 
-        return load_profile(self.store_directory).ep_fidelity()
+        return scan_events(self.store_directory).ep_fidelity()
 
     def pairwise(self) -> Optional[PairwiseStatistics]:
         """Dominance/outperformance over the complete scenarios.
@@ -176,40 +173,29 @@ class StoreAggregate:
 
 
 def aggregate_store(store_directory: str) -> StoreAggregate:
-    """Aggregate one campaign store in a single read of its records.
+    """Aggregate one campaign store from its :class:`StoreView`.
 
-    Records come from :meth:`CampaignStore.load_records`: the first record
-    wins per unit, and torn or malformed lines are skipped.  Records
-    without a ``scenario_id``/``point_index`` are ignored.
+    Records are the view's: the first record wins per unit, and torn or
+    malformed lines are skipped.  Records without a
+    ``scenario_id``/``point_index`` are ignored.
     """
-    store = CampaignStore(store_directory)
-    manifest = store.read_manifest()
-    plan = plan_from_manifest(manifest)
-    records = store.load_records()
+    view = StoreView.open(store_directory)
+    plan = view.plan
 
     by_scenario: Dict[str, List[UnitResult]] = {}
-    for record in records.values():
+    for record in view.records.values():
         if record.get("scenario_id") is None or record.get("point_index") is None:
             continue
         result = UnitResult.from_record(record)
         by_scenario.setdefault(result.scenario_id, []).append(result)
-    expected: Dict[str, int] = {}
-    for unit in plan.units:
-        scenario_id = unit.scenario.scenario_id
-        expected[scenario_id] = expected.get(scenario_id, 0) + 1
+    expected = Counter(unit.scenario.scenario_id for unit in plan.units)
 
     aggregate = StoreAggregate(
-        store_directory=store.directory,
-        manifest=manifest,
+        store_directory=view.store.directory,
+        manifest=view.manifest,
         plan=plan,
         scenarios=[],
-        # Unresolved quarantine, checked against the records already read
-        # (``unresolved_quarantine`` would read results.jsonl a second time).
-        quarantined={
-            unit_id: record
-            for unit_id, record in store.load_quarantine().items()
-            if unit_id not in records
-        },
+        quarantined=view.unresolved,
     )
     simulate_mode = aggregate.mode == MODE_SIMULATE
     for scenario in plan.scenarios:
@@ -229,7 +215,7 @@ def aggregate_store(store_directory: str) -> StoreAggregate:
                 scenario=scenario,
                 sweep=sweep,
                 points_done=len(unit_results),
-                points_total=expected.get(scenario.scenario_id, 0),
+                points_total=expected[scenario.scenario_id],
                 validation=validation,
             )
         )

@@ -4,8 +4,8 @@ The daemon is a deliberately thin shell: a threaded TCP server whose per-
 connection handler reads newline-delimited frames, decodes them through the
 typed codec (:func:`repro.service.messages.decode_frame`), and forwards the
 typed messages to the :class:`~repro.service.jobs.JobManager`.  Everything
-interesting — coalescing, waves, durable campaign stores, fault handling —
-lives in the manager; the transport only owns framing, error mapping, and
+interesting — coalescing, the result cache, one pool task per query,
+durable campaign stores, fault handling — lives in the manager; the transport only owns framing, error mapping, and
 connection lifecycle:
 
 * every decode failure and every rejected request is answered with a typed

@@ -64,7 +64,7 @@ from ..campaign.planner import (
     scenario_to_dict,
 )
 from ..campaign.progress import ProgressTracker
-from ..campaign.store import CampaignStore
+from ..campaign.store import CampaignStore, StoreView
 # Unused here; perfbench/tracer.py requires this binding to exist.
 from ..generation.taskset_gen import generate_taskset  # noqa: F401
 from ..obs.events import Event, JobAdmitted, JobFinished
@@ -498,9 +498,7 @@ class JobManager:
                     self._deliver(listener, event, job=job)
 
             outcome = execute_campaign(
-                plan,
-                store,
-                manifest,
+                StoreView(store, manifest, plan),
                 workers=max(1, int(message.workers)),
                 progress=progress,
                 retry=RetryPolicy(

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import collections
 import os
 
 import pytest
 
 from repro.campaign import cli, faultinject
 from repro.campaign.executor import build_protocols
-from repro.campaign.store import CampaignStore
+from repro.campaign.planner import plan_from_manifest, shard_units
+from repro.campaign.store import CampaignStore, StoreView
 from repro.experiments.runner import SweepConfig, run_sweep
 from repro.experiments.scenarios import figure2_scenarios
 from repro.report.aggregate import aggregate_store
@@ -49,11 +51,11 @@ def test_fault_plan_is_scoped_to_its_own_run(tmp_path):
         "run", "--store", faulted, *RUN_FLAGS,
         "--fault-plan", plan, "--max-attempts", "1",
     ) == 3
-    assert len(CampaignStore(faulted).unresolved_quarantine()) == TOTAL_UNITS
+    assert len(StoreView.open(faulted).unresolved) == TOTAL_UNITS
 
     clean = str(tmp_path / "clean")
     assert run_cli("run", "--store", clean, *RUN_FLAGS) == 0
-    assert not CampaignStore(clean).unresolved_quarantine()
+    assert not StoreView.open(clean).unresolved
     assert len(results_lines(clean)) == TOTAL_UNITS
     assert os.environ.get(faultinject.ENV_VAR) == before
 
@@ -117,8 +119,88 @@ def test_rerun_with_mismatched_config_is_refused(tmp_path, capsys):
     assert run_cli("run", "--store", store, *RUN_FLAGS) == 0
 
 
+def test_status_of_a_quarantined_shard_store(tmp_path, capsys):
+    """Pins every section of `status` on a shard store with a quarantined
+    unit and recovery events."""
+    store = str(tmp_path / "store")
+    shard_flags = [*RUN_FLAGS, "--shard", "0/2"]
+    assert run_cli("run", "--store", store, *shard_flags, "--max-units", "0") == 3
+    plan = plan_from_manifest(CampaignStore(store).read_manifest())
+    victim = shard_units(plan.units, 0, 2)[0]
+    spec = faultinject.FaultSpec(
+        kind=faultinject.FAULT_RAISE, times=0, unit_ids=(victim.unit_id,)
+    )
+    fault_plan = faultinject.write_plan(
+        faultinject.FaultPlan(faults=(spec,)), str(tmp_path / "plan.json")
+    )
+    assert run_cli(
+        "run", "--store", store, *shard_flags,
+        "--fault-plan", fault_plan, "--max-attempts", "1",
+    ) == 3
+    capsys.readouterr()
+
+    assert run_cli("status", "--store", store) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "shard:          0/2 (2 of 4 planned units)" in lines
+    assert "units:          1/2 complete (50.0%)" in lines
+    assert (
+        "quarantined:    1 unit(s) (1× FaultInjected) — resume retries them"
+        in lines
+    )
+    assert (
+        "events:         9 in events.jsonl (1 unit completions, last seq 8)"
+        in lines
+    )
+    assert (
+        "recovery:       0 pool crash(es), 0 unit retry(ies), 1 quarantine(s)"
+        in lines
+    )
+    assert "incomplete scenarios (1):" in lines
+    assert f"  {victim.scenario.scenario_id}: 0/1" in lines
+
+
+@pytest.fixture
+def store_parses(monkeypatch):
+    """Counts `CampaignStore.iter_records` calls per file name."""
+    counts = collections.Counter()
+    iter_records = CampaignStore.iter_records
+
+    def counting(self, path=None):
+        counts[os.path.basename(path or self.results_path)] += 1
+        return iter_records(self, path)
+
+    monkeypatch.setattr(CampaignStore, "iter_records", counting)
+    return counts
+
+
+@pytest.mark.parametrize("command", ["run", "resume", "status", "report", "profile"])
+def test_each_command_parses_the_store_files_at_most_once(
+    command, tmp_path, store_parses
+):
+    store = str(tmp_path / "store")
+    if command == "run":
+        argv = ["run", "--store", store, *RUN_FLAGS]
+    else:
+        assert run_cli("run", "--store", store, *RUN_FLAGS, "--max-units", "2") == 3
+        store_parses.clear()
+        argv = {
+            "resume": ["resume", "--store", store, "--quiet"],
+            "status": ["status", "--store", store],
+            "report": ["report", "--store", store, "--out", str(tmp_path / "out")],
+            "profile": ["profile", "--store", store],
+        }[command]
+    assert run_cli(*argv) in (0, 3)
+    assert store_parses["results.jsonl"] == 1
+    assert store_parses["quarantine.jsonl"] <= 1
+
+
 def test_status_of_missing_store_fails_cleanly(tmp_path, capsys):
     assert run_cli("status", "--store", str(tmp_path / "nope")) == 2
+    assert "holds no campaign" in capsys.readouterr().err
+
+
+def test_profile_of_missing_store_fails_cleanly(tmp_path, capsys):
+    assert run_cli("profile", "--store", str(tmp_path / "nope")) == 2
     assert "holds no campaign" in capsys.readouterr().err
 
 

@@ -94,7 +94,7 @@ def test_store_checkpoints_and_skips_finished_units(scenarios, config, tmp_path)
 
     partial = execute_units(plan.units, tests, store=store, max_units=3)
     assert len(partial) == 3
-    assert len(store.completed_ids()) == 3
+    assert len(store.load_records()) == 3
 
     progressed = []
     complete = execute_units(
@@ -108,7 +108,7 @@ def test_store_checkpoints_and_skips_finished_units(scenarios, config, tmp_path)
     # (result=None); only the remaining units were actually executed.
     assert progressed[0] is None
     assert len([r for r in progressed if r is not None]) == len(plan.units) - 3
-    assert len(store.completed_ids()) == len(plan.units)
+    assert len(store.load_records()) == len(plan.units)
 
 
 def test_unit_result_record_roundtrip():

@@ -29,7 +29,7 @@ from repro.campaign.faultinject import (
     write_plan,
 )
 from repro.campaign.planner import campaign_manifest, plan_campaign
-from repro.campaign.store import CampaignStore
+from repro.campaign.store import CampaignStore, StoreView
 from repro.experiments.runner import SweepConfig
 from repro.experiments.scenarios import Scenario
 from repro.obs.sink import EventSink, events_path, iter_event_records
@@ -161,7 +161,7 @@ def test_transient_raise_is_retried_to_success(
     sink.close()
     assert fault_plan.fired(FAULT_RAISE, victim) == 1
     assert {r.unit_id: _payload(r.to_record()) for r in results} == baseline
-    assert store.unresolved_quarantine() == {}
+    assert StoreView.open(store.directory).unresolved == {}
     assert "unit_retried" in _event_types(store.directory)
 
 
@@ -194,7 +194,7 @@ def test_poison_unit_is_quarantined_and_campaign_completes(
 
     # The poison unit never reached results.jsonl — only quarantine.jsonl.
     assert victim not in store.load_records()
-    quarantined = store.unresolved_quarantine()
+    quarantined = StoreView.open(store.directory).unresolved
     assert set(quarantined) == {victim}
     assert quarantined[victim]["error_kind"] == "FaultInjected"
     assert quarantined[victim]["attempts"] == 2
@@ -208,7 +208,7 @@ def test_poison_unit_is_quarantined_and_campaign_completes(
     faultinject.clear_plan_cache()
     resumed = execute_units(plan.units, protocols(), workers=1, store=store)
     assert {r.unit_id: _payload(r.to_record()) for r in resumed} == baseline
-    assert store.unresolved_quarantine() == {}
+    assert StoreView.open(store.directory).unresolved == {}
 
 
 def test_unit_deadline_converts_hang_into_timeout_error(
@@ -231,7 +231,7 @@ def test_unit_deadline_converts_hang_into_timeout_error(
         unit_deadline=0.2,
     )
     assert victim not in {r.unit_id for r in results}
-    quarantined = store.unresolved_quarantine()
+    quarantined = StoreView.open(store.directory).unresolved
     assert quarantined[victim]["error_kind"] == "timeout"
 
 
@@ -279,7 +279,7 @@ def test_worker_kill_mid_campaign_recovers_bit_identical(
     assert fault_plan.fired(FAULT_KILL, victim) == 1
     assert _event_types(store.directory).count("pool_crashed") >= 1
     assert {r.unit_id: _payload(r.to_record()) for r in results} == baseline
-    assert store.unresolved_quarantine() == {}
+    assert StoreView.open(store.directory).unresolved == {}
     stored = {
         unit_id: _payload(record)
         for unit_id, record in store.load_records().items()
@@ -308,7 +308,7 @@ def test_repeatedly_fatal_unit_is_cornered_and_quarantined(
     )
     finished = {r.unit_id: _payload(r.to_record()) for r in results}
     assert finished == {k: v for k, v in baseline.items() if k != victim}
-    quarantined = store.unresolved_quarantine()
+    quarantined = StoreView.open(store.directory).unresolved
     assert set(quarantined) == {victim}
     assert quarantined[victim]["error_kind"] == "worker_crash"
 

@@ -18,7 +18,7 @@ from repro.campaign.planner import (
     plan_campaign,
     shard_units,
 )
-from repro.campaign.store import CampaignStore, ConfigMismatchError
+from repro.campaign.store import CampaignStore, ConfigMismatchError, StoreView
 from repro.experiments.runner import SweepConfig
 from repro.experiments.scenarios import Scenario
 
@@ -224,7 +224,7 @@ def test_merge_heals_quarantine_records_completed_elsewhere(tmp_path):
     assert report.healed == 1
     assert report.quarantined == 0
     assert report.complete
-    assert CampaignStore(merged).unresolved_quarantine() == {}
+    assert StoreView.open(merged).unresolved == {}
 
 
 def test_merge_carries_unresolved_quarantine_and_returns_3(tmp_path, capsys):
@@ -254,7 +254,7 @@ def test_merge_carries_unresolved_quarantine_and_returns_3(tmp_path, capsys):
     assert run_cli("merge", s0, s1, "--into", merged) == 3
     out = capsys.readouterr().out
     assert "still quarantined" in out
-    assert set(CampaignStore(merged).unresolved_quarantine()) == {victim}
+    assert set(StoreView.open(merged).unresolved) == {victim}
     # Quarantined units surface in the rendered report too.
     assert run_cli("report", "--store", merged) == 3
     report_md = os.path.join(merged, "report", "REPORT.md")

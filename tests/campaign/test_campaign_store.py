@@ -11,6 +11,7 @@ from repro.campaign.store import (
     CampaignStore,
     ConfigMismatchError,
     StoreError,
+    StoreView,
 )
 from repro.experiments.runner import SweepConfig
 from repro.experiments.scenarios import Scenario
@@ -65,8 +66,29 @@ def test_initialize_append_load_roundtrip(tmp_path, manifest):
     assert set(records) == {"u1", "u2"}
     assert records["u1"]["accepted"] == {"SPIN": 1}
     assert "completed_at" in records["u1"]
-    assert store.completed_ids() == {"u1", "u2"}
-    assert store.pending_ids(["u1", "u2", "u3"]) == {"u3"}
+
+
+def test_store_view_slices_the_shard_and_drops_healed_quarantine(tmp_path, scenario):
+    plan = plan_campaign(
+        [scenario],
+        SweepConfig(samples_per_point=2, utilization_step_fraction=0.25, seed=11),
+        ["SPIN"],
+    )
+    store = CampaignStore(str(tmp_path))
+    store.initialize(campaign_manifest(plan, shard=(1, 2)))
+    healed, failed = (unit.unit_id for unit in plan.units[1::2][:2])
+    store.append(record(healed))
+    store.append_quarantine({"unit_id": healed, "error_kind": "FaultInjected"})
+    store.append_quarantine({"unit_id": failed, "error_kind": "FaultInjected"})
+
+    view = StoreView.open(store.directory)
+    assert view.shard == (1, 2)
+    assert [unit.unit_id for unit in view.units] == [
+        unit.unit_id for unit in plan.units[1::2]
+    ]
+    assert view.done == 1
+    assert view.scenario_progress == [(scenario.scenario_id, 1, len(view.units))]
+    assert set(view.unresolved) == {failed}
 
 
 def test_duplicate_records_keep_the_first(tmp_path, manifest):

@@ -3,8 +3,8 @@
 Both documents are :func:`repro.report.document.render_report` in a
 different syntax; these tests pin that the two carry the same section
 titles on the analyze, simulate and faulted fixture stores, that the HTML
-lists quarantined units like the Markdown, and that one bundle reads the
-store's profile only once.
+lists quarantined units like the Markdown, and that one bundle scans the
+store's event stream only once.
 """
 
 from __future__ import annotations
@@ -51,13 +51,13 @@ def test_html_lists_every_quarantined_unit_with_its_error_kind(faulted_store):
 
 def test_report_bundle_reads_the_profile_once(simulate_store, tmp_path, monkeypatch):
     calls = []
-    load_profile = profile.load_profile
+    scan_events = profile.scan_events
 
-    def counting_load_profile(store_directory):
+    def counting_scan_events(store_directory):
         calls.append(store_directory)
-        return load_profile(store_directory)
+        return scan_events(store_directory)
 
-    monkeypatch.setattr(profile, "load_profile", counting_load_profile)
+    monkeypatch.setattr(profile, "scan_events", counting_scan_events)
     bundle = write_report_bundle(aggregate_store(simulate_store), str(tmp_path / "out"))
     assert len(calls) == 1
     # The one read still feeds the EP-fidelity line of both documents.

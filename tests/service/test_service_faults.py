@@ -19,7 +19,7 @@ from repro.campaign.faultinject import (
     write_plan,
 )
 from repro.campaign.planner import campaign_manifest
-from repro.campaign.store import CampaignStore
+from repro.campaign.store import CampaignStore, StoreView
 from repro.obs.sink import events_path, iter_event_records
 
 #: Store fields that legitimately differ between runs of the same campaign.
@@ -92,7 +92,7 @@ def test_worker_kill_quarantines_unit_and_fails_job_with_typed_error(
 
     # The unit is quarantined in the durable store with the crash kind.
     store = CampaignStore(ready.result["store_directory"])
-    quarantine = store.unresolved_quarantine()
+    quarantine = StoreView.open(store.directory).unresolved
     assert set(quarantine) == {victim}
     assert quarantine[victim]["error_kind"] == "worker_crash"
 
@@ -188,4 +188,4 @@ def test_transient_raise_fault_is_retried_to_success(
     assert "unit_retried" in _event_types(ready.result["store_directory"])
     assert "unit_retried" not in _event_types(daemon.data_dir)
     store = CampaignStore(ready.result["store_directory"])
-    assert not store.unresolved_quarantine()
+    assert not StoreView.open(store.directory).unresolved
