@@ -66,6 +66,16 @@ full solve (DESIGN.md, "A diverging bound is decided before its
 windows").  The window-free parts and test 2's η/ζ arrays are computed
 once and reused by the solve.
 
+**A failing EP bound is decided from its critical path.**  Any one path's
+bound is a lower bound on Eq. (1)'s maximum, and the enumeration's row of
+the critical path's request code dominates that path's row.  So before a
+task is enumerated for the first time,
+:meth:`DpcpPKernel.critical_path_diverges` runs both tests on the critical
+path alone (scalar, η at ``start``), less a rounding margin of
+:data:`PROBE_MARGIN` times the bound; when they fire, the task's bound is
+``inf`` and it is never enumerated (DESIGN.md, "A failing EP bound is
+decided from its critical path").
+
 Per-signature bounds match the reference implementation up to
 floating-point summation order (observed well below 1e-12 relative on
 randomized systems).  The kernel assumes (like the reference analysis) that
@@ -77,7 +87,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -99,6 +109,12 @@ from ..paths import PathEnumerationResult, require_vertices
 #: fixed-point solver; smaller ones use the scalar path over the same
 #: coefficients.
 BATCH_CUTOFF = 48
+
+#: Relative margin of the critical-path probe: it decides a task only when
+#: its step exceeds the bound by more than ``PROBE_MARGIN * bound``, which
+#: covers the rounding that separates the probe from the enumeration's row
+#: (DESIGN.md, "A failing EP bound is decided from its critical path").
+PROBE_MARGIN = 1e-9
 
 _ceil = math.ceil
 _inf = math.inf
@@ -218,6 +234,22 @@ def _scalar_row(
             local_offpath += gap * cs
     intra_interf = (static.total_noncrit - onpath_noncrit) + local_offpath
     return (length, n_g, local_block, intra_interf)
+
+
+def _path_row(static: CompiledTask, profile: PathProfile) -> _Row:
+    """The scalar-path row of one vertex-bearing path."""
+    requests = profile.requests
+    noncrit = static.noncrit
+    onpath = 0.0
+    for v in profile.vertices:
+        onpath += noncrit[v]
+    return _scalar_row(
+        static,
+        profile.length,
+        [requests.get(rid, 0) for rid in static.ugr],
+        [requests.get(rid, 0) for rid in static.lres],
+        onpath,
+    )
 
 
 def _build_ep_columns(
@@ -342,6 +374,9 @@ class DpcpPKernel:
         self._lanes: Dict[int, _TaskLane] = {}
         self._ep_cache: Dict[int, _EpColumns] = tables.protocol_cache.setdefault(
             "dpcp_p.ep", {}
+        )
+        self._probe_rows: Dict[int, _Row] = tables.protocol_cache.setdefault(
+            "dpcp_p.probe", {}
         )
         # NumPy coefficient views; the active-processor slice is cut lazily
         # by the batched path.
@@ -471,18 +506,14 @@ class DpcpPKernel:
                 total += e * w
         return total
 
-    def _theorem1_scalar(
-        self,
-        lane: _TaskLane,
-        eps: Dict[int, float],
-        start: float,
-        fixed: float,
-        bound: float,
-    ) -> float:
-        """Theorem 1's fixed point for one profile via the coefficient tables.
+    def _theorem1_recurrence(
+        self, lane: _TaskLane, eps: Dict[int, float], fixed: float
+    ) -> Callable[[float], float]:
+        """Theorem 1's scalar step ``fixed + Σ min(ε, ζ) + agents / m_i`` at ``cur``.
 
-        ``start`` and ``fixed`` are the profile's window-free terms
-        (:func:`_theorem1_terms`).
+        ``fixed`` is the row's window-free term (:func:`_theorem1_terms`).
+        The scalar solve iterates it and the critical-path probe evaluates
+        it once, so both round identically.
         """
         m_i = lane.m_i
         # min(0, ζ) = 0: only processors with a positive ε can contribute.
@@ -517,6 +548,22 @@ class DpcpPKernel:
                 agents += e * w
             return fixed + blocking + agents / m_i
 
+        return recurrence
+
+    def _theorem1_scalar(
+        self,
+        lane: _TaskLane,
+        eps: Dict[int, float],
+        start: float,
+        fixed: float,
+        bound: float,
+    ) -> float:
+        """Theorem 1's fixed point for one profile via the coefficient tables.
+
+        ``start`` and ``fixed`` are the profile's window-free terms
+        (:func:`_theorem1_terms`).
+        """
+        recurrence = self._theorem1_recurrence(lane, eps, fixed)
         solved, status = solve_scalar(recurrence, start, bound)
         if solved is None:
             if status == NO_CONVERGENCE:
@@ -814,22 +861,50 @@ class DpcpPKernel:
         if divergence_bound is None:
             divergence_bound = task.deadline
         lane = self._lane(task)
-        static = lane.static
-        requests = profile.requests
-        noncrit = static.noncrit
-        onpath = 0.0
-        for v in profile.vertices:
-            onpath += noncrit[v]
-        row = _scalar_row(
-            static,
-            profile.length,
-            [requests.get(rid, 0) for rid in static.ugr],
-            [requests.get(rid, 0) for rid in static.lres],
-            onpath,
-        )
+        row = _path_row(lane.static, profile)
         return self._row_wcrt_scalar(
             lane, row, self._row_terms(lane, row), divergence_bound
         )
+
+    def critical_path_diverges(
+        self, task: DAGTask, divergence_bound: Optional[float] = None
+    ) -> bool:
+        """Does the task's critical path, as one path, provably pass the bound?
+
+        Eq. (1) takes a maximum over paths, so ``True`` means the task's EP
+        bound is ``inf`` whatever its enumeration holds: the enumeration's
+        row of the critical path's request code dominates this probe row.
+        Test 1 reads the row's window-free ``start`` and ``fixed``, test 2
+        the first Theorem-1 step with ε at its floor :math:`N^\\lambda
+        \\beta` and η at ``start``; both less the rounding margin
+        :data:`PROBE_MARGIN` (DESIGN.md, "A failing EP bound is decided from
+        its critical path").  A decision counts as one kernel bound.
+        """
+        if divergence_bound is None:
+            divergence_bound = task.deadline
+        if not math.isfinite(divergence_bound):
+            return False
+        lane = self._lane(task)
+        row = self._probe_rows.get(task.task_id)
+        if row is None:
+            row = _path_row(lane.static, task.critical_path_profile())
+            self._probe_rows[task.task_id] = row
+        margin = PROBE_MARGIN * divergence_bound
+        _off, start, fixed = self._row_terms(lane, row)
+        start -= margin
+        decided = _diverges_at_start(start, fixed - margin, divergence_bound)
+        if not decided:
+            floor: Dict[int, float] = {}
+            for g, n_path in enumerate(row[1]):
+                if n_path > 0:
+                    k = lane.g_proc_list[g]
+                    floor[k] = floor.get(k, 0.0) + n_path * lane.beta_list[g]
+            step = self._theorem1_recurrence(lane, floor, fixed)(start)
+            decided = step - margin > divergence_bound
+        if decided:
+            _bump(self._counters, "kernel.bounds")
+            _bump(self._counters, "kernel.early.critical_path")
+        return decided
 
     def task_wcrt_ep(
         self,

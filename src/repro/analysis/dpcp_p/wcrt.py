@@ -280,7 +280,11 @@ def _iter_task_analyses(
     only the bounds yielded before it (later tasks contribute their
     deadline), so a caller may stop early without changing what it has
     already read.  Builds the kernel (or reference context) once, when
-    iteration starts.
+    iteration starts.  In EP mode the kernel branch first asks
+    :meth:`DpcpPKernel.critical_path_diverges` about a task ``enumerator``
+    holds no result for: when the critical path alone proves the bound
+    ``inf``, the task is not enumerated.  An enumerated task goes straight
+    to :meth:`DpcpPKernel.task_wcrt_ep`, whose row tests check every row.
     """
     if mode not in (MODE_EP, MODE_EN):
         raise ValueError(f"unknown analysis mode {mode!r}")
@@ -299,10 +303,14 @@ def _iter_task_analyses(
         bound = task.deadline * max(divergence_factor, 1.0)
         if kernel is not None:
             kernel.sync_response_times(response_times)
-            if mode == MODE_EP:
-                wcrt = kernel.task_wcrt_ep(task, enumerator.enumerate(task), bound)
-            else:
+            if mode != MODE_EP:
                 wcrt = kernel.task_wcrt_en(task, bound)
+            elif not enumerator.has_result(task) and kernel.critical_path_diverges(
+                task, bound
+            ):
+                wcrt = math.inf
+            else:
+                wcrt = kernel.task_wcrt_ep(task, enumerator.enumerate(task), bound)
         elif mode == MODE_EP:
             wcrt = task_wcrt_ep(ctx, task, enumerator, bound)
         else:

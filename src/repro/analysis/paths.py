@@ -385,6 +385,10 @@ class PathEnumerator:
         self._cache[task] = (task.dag.num_edges, result)
         return result
 
+    def has_result(self, task: DAGTask) -> bool:
+        """Whether :meth:`enumerate` holds a current result for ``task``."""
+        return _cached(self._cache, task) is not None
+
     def walk(self, task: DAGTask) -> PathEnumerationResult:
         """The reference walk's enumeration of ``task`` under the same path cap.
 

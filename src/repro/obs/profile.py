@@ -157,8 +157,9 @@ class ComputeProfile:
 
         Returns ``None`` without ``kernel.bounds`` (no DPCP-p kernel bound
         ran with telemetry); otherwise the bound total and the bounds the
-        kernel's early divergence tests decided, per path (``ep_batched``,
-        ``ep_scalar``, ``en``) and in all (``decided``).
+        kernel's early divergence tests decided, per path
+        (``critical_path``, the probe before a task's first enumeration;
+        ``ep_batched``, ``ep_scalar``, ``en``) and in all (``decided``).
         """
         counters = self.telemetry.counters
         bounds = int(counters.get("kernel.bounds", 0))
@@ -166,7 +167,7 @@ class ComputeProfile:
             return None
         paths = {
             path: int(counters.get(f"kernel.early.{path}", 0))
-            for path in ("ep_batched", "ep_scalar", "en")
+            for path in ("critical_path", "ep_batched", "ep_scalar", "en")
         }
         return {"bounds": bounds, "decided": sum(paths.values()), **paths}
 
@@ -320,7 +321,8 @@ def render_profile(profile: ComputeProfile, top: int = 10) -> str:
             lines.append("kernel bounds")
         lines.append(
             f"  {early['decided']} of {early['bounds']} kernel bounds decided "
-            f"before their windows ({early['ep_batched']} EP batched, "
+            f"before their windows ({early['critical_path']} critical path, "
+            f"{early['ep_batched']} EP batched, "
             f"{early['ep_scalar']} EP scalar, {early['en']} EN)"
         )
 

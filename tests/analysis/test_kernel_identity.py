@@ -3,14 +3,17 @@
 The kernel decides a diverging bound before it solves any Lemma-2 window
 (DESIGN.md, "A diverging bound is decided before its windows"): test 1
 reads Theorem 1's window-free ``start`` and ``fixed`` terms, test 2 the
-batched first step with ε at its floor.  This file keeps the kernel's
-bound paths as they were before those tests, copied verbatim below (the
-``_head_*`` functions, ``self`` made explicit), and requires every EP and
-EN bound of Algorithm 1 to match them bit for bit (``float.hex``) over
-paper-scale Fig. 2 draws and a slice of the scenario grid.  It also pins
-the two other parts of the same change that must not move a result: the
-path DP's merge into the largest map, and the WFD order computed once per
-task set.
+batched first step with ε at its floor.  Before a task is first
+enumerated, the critical-path probe runs the same two tests on the
+critical path alone (DESIGN.md, "A failing EP bound is decided from its
+critical path").  This file keeps the kernel's bound paths as they were
+before those tests, copied verbatim below (the ``_head_*`` functions,
+``self`` made explicit, and no probe), and requires every EP and EN bound
+of Algorithm 1 to match them bit for bit (``float.hex``) over paper-scale
+Fig. 2 draws and a slice of the scenario grid; a probe decision counts as
+an ``inf`` EP bound.  It also pins the two other parts of the same change
+that must not move a result: the path DP's merge into the largest map,
+and the WFD order computed once per task set.
 """
 
 from __future__ import annotations
@@ -25,12 +28,14 @@ from hypothesis import strategies as st
 
 from repro.analysis import paths as paths_module
 from repro.analysis.dpcp_p import kernel as kernel_module
+from repro.analysis.dpcp_p.context import DpcpPContext
 from repro.analysis.dpcp_p.kernel import DpcpPKernel, _diverges_at_start
 from repro.analysis.dpcp_p.partition import (
     partition_and_analyze,
     wfd_assign_resources,
     wfd_order,
 )
+from repro.analysis.dpcp_p.wcrt import task_wcrt_ep as reference_task_wcrt_ep
 from repro.analysis.engine.solver import (
     ETA_GUARD,
     NO_CONVERGENCE,
@@ -342,10 +347,15 @@ def _head_wfd_assign_resources(taskset, clusters):
     return True, assignment, ""
 
 
+def _head_critical_path_diverges(self, task, divergence_bound=None):
+    """No probe: every task a pass reaches is enumerated."""
+    return False
+
+
 # --------------------------------------------------------------------------- #
 # Algorithm 1, every bound recorded
 # --------------------------------------------------------------------------- #
-def _recorded(ep, en, log):
+def _recorded(ep, en, probe, log):
     def task_wcrt_ep(self, task, enumeration, divergence_bound=None):
         bound = ep(self, task, enumeration, divergence_bound)
         log.append(("EP", task.task_id, float(bound).hex()))
@@ -356,16 +366,23 @@ def _recorded(ep, en, log):
         log.append(("EN", task.task_id, float(bound).hex()))
         return bound
 
-    return task_wcrt_ep, task_wcrt_en
+    def critical_path_diverges(self, task, divergence_bound=None):
+        decided = probe(self, task, divergence_bound)
+        if decided:  # the task's EP bound is ``inf``
+            log.append(("EP", task.task_id, _inf.hex()))
+        return decided
+
+    return task_wcrt_ep, task_wcrt_en, critical_path_diverges
 
 
-def _algorithm1_bounds(taskset, platform, ep, en, monkeypatch) -> List[tuple]:
+def _algorithm1_bounds(taskset, platform, ep, en, probe, monkeypatch) -> List[tuple]:
     """Every kernel bound of DPCP-p-EP and -EN's Algorithm 1, in call order."""
     log: List[tuple] = []
     with monkeypatch.context() as patch:
-        recorded_ep, recorded_en = _recorded(ep, en, log)
+        recorded_ep, recorded_en, recorded_probe = _recorded(ep, en, probe, log)
         patch.setattr(DpcpPKernel, "task_wcrt_ep", recorded_ep)
         patch.setattr(DpcpPKernel, "task_wcrt_en", recorded_en)
+        patch.setattr(DpcpPKernel, "critical_path_diverges", recorded_probe)
         for mode in ("EP", "EN"):
             result = partition_and_analyze(
                 taskset, platform, mode=mode, enumerator=PathEnumerator()
@@ -395,7 +412,12 @@ FIG2_CASES = _cases(grid_scenarios("fig2"), 0.25)
 GRID_CASES = _cases(full_grid(num_vertices_range=(10, 30))[::9], 0.25)
 
 #: Early-decision counters, one per kernel path.
-EARLY = ("kernel.early.ep_batched", "kernel.early.ep_scalar", "kernel.early.en")
+EARLY = (
+    "kernel.early.critical_path",
+    "kernel.early.ep_batched",
+    "kernel.early.ep_scalar",
+    "kernel.early.en",
+)
 
 
 def _assert_identical(cases, seed, monkeypatch) -> Dict[str, int]:
@@ -411,10 +433,16 @@ def _assert_identical(cases, seed, monkeypatch) -> Dict[str, int]:
                 platform,
                 DpcpPKernel.task_wcrt_ep,
                 DpcpPKernel.task_wcrt_en,
+                DpcpPKernel.critical_path_diverges,
                 monkeypatch,
             )
             head = _algorithm1_bounds(
-                taskset, platform, _head_task_wcrt_ep, _head_task_wcrt_en, monkeypatch
+                taskset,
+                platform,
+                _head_task_wcrt_ep,
+                _head_task_wcrt_en,
+                _head_critical_path_diverges,
+                monkeypatch,
             )
             assert new == head, (utilization, processors, seed)
     return tel.counters
@@ -440,11 +468,37 @@ def test_grid_bounds_match_the_full_solve(seed, monkeypatch):
     assert counters["kernel.bounds"] > decided
 
 
+def _explicit_enumeration_bounds(cases, seed) -> Dict[str, int]:
+    """Every task's EP bound on its first WFD partition, enumerated up front.
+
+    Inside Algorithm 1 the critical-path probe decides most failing tasks
+    before they are enumerated, so it pre-empts the row tests; a caller
+    that hands ``task_wcrt_ep`` an enumeration still reaches them.  Every
+    bound must match the full solve.  Returns the kernel counters.
+    """
+    with session() as tel:
+        for config, processors, utilization in cases:
+            built = _kernel_for(config, seed, utilization, processors)
+            if built is None:
+                continue
+            taskset, kernel = built
+            enumerator = PathEnumerator()
+            for task in taskset.by_priority(descending=True):
+                enumeration = enumerator.enumerate(task)
+                new = kernel.task_wcrt_ep(task, enumeration)
+                head = _head_task_wcrt_ep(kernel, task, enumeration)
+                assert new.hex() == head.hex(), (utilization, processors, seed)
+    return tel.counters
+
+
 @pytest.mark.filterwarnings("ignore::repro.analysis.engine.solver.FixedPointNoConvergence")
 def test_every_early_path_fires_on_paper_scale_draws(monkeypatch):
     counters: Dict[str, int] = {}
     for seed in (1, 2, 3):
-        for name, value in _assert_identical(FIG2_CASES[::2], seed, monkeypatch).items():
+        for name, value in [
+            *_assert_identical(FIG2_CASES[::2], seed, monkeypatch).items(),
+            *_explicit_enumeration_bounds(FIG2_CASES[::2], seed).items(),
+        ]:
             counters[name] = counters.get(name, 0) + value
     for name in EARLY:
         assert counters.get(name, 0) > 0, name
@@ -541,6 +595,30 @@ def test_property_early_decisions_are_diverging_solves(seed, wide, utilization, 
             assert np.isinf(full[decided]).all()
 
 
+@pytest.mark.filterwarnings("ignore::repro.analysis.engine.solver.FixedPointNoConvergence")
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    wide=st.booleans(),
+    utilization=st.sampled_from([3.0, 5.5, 8.0]),
+    scale=st.sampled_from([0.25, 0.5, 0.75, 1.0, 1.5]),
+)
+@settings(max_examples=30, deadline=None)
+def test_property_probe_decisions_diverge_in_the_reference_engine(
+    seed, wide, utilization, scale
+):
+    built = _kernel_for(WIDE_CONFIG if wide else SMALL_CONFIG, seed, utilization, 16)
+    if built is None:
+        return
+    taskset, kernel = built
+    ctx = DpcpPContext(taskset, kernel.partition)
+    enumerator = PathEnumerator()
+    for task in taskset.by_priority(descending=True):
+        bound = task.deadline * scale
+        if kernel.critical_path_diverges(task, bound):
+            # The walk over raw paths, every path's bound from its vertices.
+            assert reference_task_wcrt_ep(ctx, task, enumerator, bound) == _inf
+
+
 # --------------------------------------------------------------------------- #
 # The boundary: ``fixed == bound`` is a finite bound
 # --------------------------------------------------------------------------- #
@@ -579,6 +657,20 @@ def test_fixed_equal_to_the_bound_stays_finite(path, monkeypatch):
     assert (kernel.ep_columns(task, enumeration).rows is None) == (path == "EP-batched")
     assert bound_of(8.5) == 8.5
     assert bound_of(math.nextafter(8.5, 0.0)) == _inf
+
+
+def test_probe_decides_only_beyond_its_margin():
+    task, kernel = _lonely_task_kernel()
+    enumeration = PathEnumerator().enumerate(task)
+    # Just inside the margin: the probe stays silent, the row tests decide.
+    inside = 8.5 / (1.0 + kernel_module.PROBE_MARGIN / 2)
+    assert not kernel.critical_path_diverges(task, inside)
+    assert kernel.task_wcrt_ep(task, enumeration, inside) == _inf
+    outside = 8.5 / (1.0 + 2 * kernel_module.PROBE_MARGIN)
+    assert kernel.critical_path_diverges(task, outside)
+    assert kernel.task_wcrt_ep(task, enumeration, outside) == _inf
+    assert not kernel.critical_path_diverges(task, 8.5)
+    assert not kernel.critical_path_diverges(task, _inf)
 
 
 # --------------------------------------------------------------------------- #
@@ -637,7 +729,7 @@ def test_wfd_assignment_matches_the_per_pass_order(seed):
 # --------------------------------------------------------------------------- #
 # Telemetry: decided bounds are counted per path and shown by the profile
 # --------------------------------------------------------------------------- #
-@pytest.mark.parametrize("path", ["EN", "EP-scalar", "EP-batched"])
+@pytest.mark.parametrize("path", ["EN", "EP-scalar", "EP-batched", "critical-path"])
 def test_early_decisions_are_counted_and_profiled(path, monkeypatch):
     if path == "EP-batched":
         monkeypatch.setattr(kernel_module, "BATCH_CUTOFF", 1)
@@ -647,12 +739,15 @@ def test_early_decisions_are_counted_and_profiled(path, monkeypatch):
         for bound in (8.5, 8.0):  # solved, then decided (fixed 8.5 > 8.0)
             if path == "EN":
                 kernel.task_wcrt_en(task, bound)
-            else:
+            elif path != "critical-path" or not kernel.critical_path_diverges(
+                task, bound
+            ):
                 kernel.task_wcrt_ep(task, enumeration, bound)
     counter = {
         "EN": "kernel.early.en",
         "EP-scalar": "kernel.early.ep_scalar",
         "EP-batched": "kernel.early.ep_batched",
+        "critical-path": "kernel.early.critical_path",
     }[path]
     assert tel.counters["kernel.bounds"] == 2
     assert tel.counters[counter] == 1
@@ -661,6 +756,12 @@ def test_early_decisions_are_counted_and_profiled(path, monkeypatch):
     profile = ComputeProfile(store_directory="store")
     profile.telemetry = tel
     assert profile.early_decisions()["decided"] == 1
-    assert "1 of 2 kernel bounds decided before their windows" in render_profile(
-        profile
-    )
+    text = render_profile(profile)
+    assert "1 of 2 kernel bounds decided before their windows" in text
+    label = {
+        "EN": "1 EN",
+        "EP-scalar": "1 EP scalar",
+        "EP-batched": "1 EP batched",
+        "critical-path": "(1 critical path,",
+    }[path]
+    assert label in text

@@ -510,7 +510,13 @@ RETRY_CONFIG = TaskSetGenerationConfig(
 
 @pytest.fixture(scope="module")
 def retrying():
-    """A task set whose DPCP-p-EP test runs several Algorithm 1 passes."""
+    """A task set whose DPCP-p-EP test runs several Algorithm 1 passes.
+
+    At least one retry must reach a task an earlier pass enumerated (an
+    enumeration cache hit): the critical-path probe decides many failing
+    tasks before their first enumeration, and such a retry enumerates
+    nothing.
+    """
     platform = Platform(16)
     for seed in range(60):
         try:
@@ -519,7 +525,11 @@ def retrying():
             continue
         with telemetry.session() as tel:
             DpcpPEpTest().test(taskset, platform)
-        if tel.counters.get("partition.wfd_passes", 0) >= 3:
+        counters = tel.counters
+        if (
+            counters.get("partition.wfd_passes", 0) >= 3
+            and counters.get("enumeration.cache.hits", 0) > 0
+        ):
             return taskset, platform
     pytest.fail("no seed produced a task set with Algorithm 1 retries")
 
